@@ -128,30 +128,23 @@ impl Reg {
     /// The canonical RISC-V ABI name (`zero`, `ra`, `sp`, …) for 32-register
     /// machines, or `r{i}` / `v{i}` otherwise.
     pub fn abi_name(self) -> String {
+        self.to_string()
+    }
+
+    /// The ABI name of a physical register below `x32`, borrowed from a
+    /// static table; `None` for the `r{i}` / `v{i}` names that
+    /// [`Reg::abi_name`] has to format.
+    pub fn static_abi_name(self) -> Option<&'static str> {
         if self.is_virtual() {
-            return format!("v{}", self.index());
+            return None;
         }
-        let i = self.index();
-        match i {
-            0 => "zero".to_owned(),
-            1 => "ra".to_owned(),
-            2 => "sp".to_owned(),
-            3 => "gp".to_owned(),
-            4 => "tp".to_owned(),
-            5..=7 => format!("t{}", i - 5),
-            8 => "s0".to_owned(),
-            9 => "s1".to_owned(),
-            10..=17 => format!("a{}", i - 10),
-            18..=27 => format!("s{}", i - 16),
-            28..=31 => format!("t{}", i - 25),
-            _ => format!("r{i}"),
-        }
+        ABI_NAMES.get(self.index() as usize).copied()
     }
 
     /// Parses a register name: ABI names (`a0`, `t3`, `zero`), `x{i}`,
-    /// `r{i}`, or virtual `v{i}`. Returns `None` for unknown names.
+    /// `r{i}`, or virtual `v{i}`. Returns `None` for unknown names,
+    /// including empty ones and indices outside the register encoding.
     pub fn parse(name: &str) -> Option<Reg> {
-        let tail_index = |s: &str| s.parse::<u32>().ok();
         match name {
             "zero" => return Some(Reg(0)),
             "ra" => return Some(Reg(1)),
@@ -161,18 +154,26 @@ impl Reg {
             "fp" => return Some(Reg(8)),
             _ => {}
         }
-        let (prefix, rest) = name.split_at(1);
-        let n = tail_index(rest)?;
+        let mut chars = name.chars();
+        let prefix = chars.next()?;
+        let n = chars.as_str().parse::<u32>().ok()?;
         match prefix {
-            "x" | "r" => (n < VIRT_BIT).then(|| Reg::phys(n)),
-            "v" => Some(Reg::virt(n)),
-            "t" => (n < 7).then(|| Reg::temp(n)),
-            "s" => (n < 12).then(|| Reg::saved(n)),
-            "a" => (n < 8).then(|| Reg::arg(n)),
+            'x' | 'r' => (n < VIRT_BIT).then(|| Reg::phys(n)),
+            'v' => (n < VIRT_BIT).then(|| Reg::virt(n)),
+            't' => (n < 7).then(|| Reg::temp(n)),
+            's' => (n < 12).then(|| Reg::saved(n)),
+            'a' => (n < 8).then(|| Reg::arg(n)),
             _ => None,
         }
     }
 }
+
+/// ABI names of `x0..x31`, indexed by register number.
+const ABI_NAMES: [&str; 32] = [
+    "zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2", "s0", "s1", "a0", "a1", "a2", "a3", "a4",
+    "a5", "a6", "a7", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11", "t3", "t4",
+    "t5", "t6",
+];
 
 /// A set of physical registers as a single `u64` bitmask (bit `i` =
 /// register index `i`).
@@ -304,7 +305,11 @@ impl fmt::Debug for Reg {
 
 impl fmt::Display for Reg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.abi_name())
+        match self.static_abi_name() {
+            Some(name) => f.write_str(name),
+            None if self.is_virtual() => write!(f, "v{}", self.index()),
+            None => write!(f, "r{}", self.index()),
+        }
     }
 }
 
@@ -318,6 +323,38 @@ mod tests {
             let r = Reg::phys(i);
             assert_eq!(Reg::parse(&r.abi_name()), Some(r), "name {}", r.abi_name());
         }
+    }
+
+    #[test]
+    fn static_names_match_the_abi_numbering() {
+        let expect = |i: u32| match i {
+            0 => "zero".to_owned(),
+            1 => "ra".to_owned(),
+            2 => "sp".to_owned(),
+            3 => "gp".to_owned(),
+            4 => "tp".to_owned(),
+            5..=7 => format!("t{}", i - 5),
+            8 => "s0".to_owned(),
+            9 => "s1".to_owned(),
+            10..=17 => format!("a{}", i - 10),
+            18..=27 => format!("s{}", i - 16),
+            _ => format!("t{}", i - 25),
+        };
+        for i in 0..32 {
+            assert_eq!(Reg::phys(i).static_abi_name(), Some(expect(i).as_str()));
+        }
+        assert_eq!(Reg::phys(32).static_abi_name(), None);
+        assert_eq!(Reg::phys(40).abi_name(), "r40");
+        assert_eq!(Reg::virt(3).static_abi_name(), None);
+        assert_eq!(Reg::virt(3).abi_name(), "v3");
+    }
+
+    #[test]
+    fn malformed_names_parse_to_none() {
+        for name in ["", "é1", "é", "x", "t", "ü", "v2147483648", "x4294967295", "a8", "q1"] {
+            assert_eq!(Reg::parse(name), None, "{name:?}");
+        }
+        assert_eq!(Reg::parse("v2147483647"), Some(Reg::virt(VIRT_BIT - 1)));
     }
 
     #[test]

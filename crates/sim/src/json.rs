@@ -87,26 +87,8 @@ impl Json {
     }
 
     fn write(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent);
-        let inner = "  ".repeat(indent + 1);
         match self {
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\t' => out.push_str("\\t"),
-                        '\r' => out.push_str("\\r"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
+            Json::Str(s) => write_str(out, s),
             Json::UInt(v) => {
                 let _ = write!(out, "{v}");
             }
@@ -123,8 +105,8 @@ impl Json {
                 }
                 out.push_str("{\n");
                 for (i, (k, v)) in fields.iter().enumerate() {
-                    out.push_str(&inner);
-                    Json::Str(k.clone()).write(out, 0);
+                    push_indent(out, indent + 1);
+                    write_str(out, k);
                     out.push_str(": ");
                     v.write(out, indent + 1);
                     if i + 1 < fields.len() {
@@ -132,7 +114,7 @@ impl Json {
                     }
                     out.push('\n');
                 }
-                out.push_str(&pad);
+                push_indent(out, indent);
                 out.push('}');
             }
             Json::Arr(items) => {
@@ -142,14 +124,14 @@ impl Json {
                 }
                 out.push_str("[\n");
                 for (i, v) in items.iter().enumerate() {
-                    out.push_str(&inner);
+                    push_indent(out, indent + 1);
                     v.write(out, indent + 1);
                     if i + 1 < items.len() {
                         out.push(',');
                     }
                     out.push('\n');
                 }
-                out.push_str(&pad);
+                push_indent(out, indent);
                 out.push(']');
             }
         }
@@ -161,7 +143,7 @@ impl Json {
     ///
     /// Returns a message with the byte offset of the first syntax error.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -172,9 +154,51 @@ impl Json {
     }
 }
 
+fn push_indent(out: &mut String, depth: usize) {
+    for _ in 0..depth {
+        out.push_str("  ");
+    }
+}
+
+/// Writes `s` as a quoted JSON string. Every byte that needs escaping is
+/// ASCII, so the runs between them are copied whole.
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\t' => Some("\\t"),
+            b'\r' => Some("\\r"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match escape {
+            Some(e) => out.push_str(e),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// Deepest array/object nesting the reader accepts. Reports nest about
+/// six levels; the bound keeps a hostile `[[[[…` from overflowing the
+/// stack of the recursive descent.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -200,14 +224,24 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Parser::object),
+            Some(b'[') => self.nested(Parser::array),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'0'..=b'9' | b'-') => self.number(),
             Some(other) => Err(format!("unexpected `{}` at byte {}", other as char, self.pos)),
             None => Err("unexpected end of input".into()),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting too deep at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
@@ -224,7 +258,7 @@ impl Parser<'_> {
         while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
+        let text = &self.text[start..self.pos];
         if text.bytes().all(|b| b.is_ascii_digit()) {
             text.parse().map(Json::UInt).map_err(|_| format!("bad integer at byte {start}"))
         } else {
@@ -270,12 +304,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through unmodified.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| format!("invalid utf-8 at byte {}", self.pos))?;
-                    let c = rest.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in one
+                    // go. Both are ASCII, so the run ends on a char boundary
+                    // of the (already validated) input.
+                    let start = self.pos;
+                    let len = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - start);
+                    self.pos += len;
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -381,5 +419,26 @@ mod tests {
         assert_eq!(Json::parse("2.50").unwrap(), Json::Float(2.5));
         let doc = Json::obj(vec![("delta_pct", Json::Float(-16.61))]);
         assert_eq!(Json::parse(&doc.render()).unwrap(), doc);
+    }
+
+    #[test]
+    fn strings_escape_exactly_the_control_quote_and_backslash_bytes() {
+        let s = "a\u{1}\u{1f}é\"\\\n\t\r\u{7f}z";
+        assert_eq!(Json::str(s).render(), "\"a\\u0001\\u001fé\\\"\\\\\\n\\t\\r\u{7f}z\"");
+        assert_eq!(Json::parse(&Json::str(s).render()).unwrap(), Json::str(s));
+        // Runs between escapes keep their multi-byte characters whole.
+        assert_eq!(Json::parse("\"é\\nü→x\"").unwrap(), Json::str("é\nü→x"));
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        let deep = "[".repeat(200_000);
+        let err = Json::parse(&deep).unwrap_err();
+        assert_eq!(err, format!("nesting too deep at byte {MAX_DEPTH}"));
+        let err = Json::parse(&"{\"a\": ".repeat(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.starts_with("nesting too deep at byte"), "{err}");
+        // The limit itself still parses.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
     }
 }

@@ -345,12 +345,16 @@ impl CampaignReport {
             .filter_map(|(i, s)| s.as_ref().map(|s| (i, s)))
             .map(|(i, s)| {
                 debug_assert_eq!(i as u32, s.shard);
+                let mut buf = String::with_capacity(64);
                 Json::obj(vec![
                     ("shard", Json::UInt(s.shard as u64)),
                     (
                         "outcomes",
                         Json::Arr(
-                            s.outcomes.iter().map(|o| Json::str(encode_outcome(o))).collect(),
+                            s.outcomes
+                                .iter()
+                                .map(|o| Json::Str(encode_outcome(o, &mut buf)))
+                                .collect(),
                         ),
                     ),
                 ])
@@ -454,26 +458,54 @@ impl CampaignReport {
 /// Compact row encoding of one outcome:
 /// `cycle:reg:bit:func:point:occurrence:verdict:class` where `verdict` is
 /// `m` (statically masked) or `l` (live).
-fn encode_outcome(o: &FaultOutcome) -> String {
-    format!(
-        "{}:{}:{}:{}:{}:{}:{}:{}",
-        o.fault.spec.cycle,
-        o.fault.spec.reg,
-        o.fault.spec.bit,
-        o.fault.func,
-        o.fault.point.0,
-        o.fault.occurrence,
-        if o.fault.masked { 'm' } else { 'l' },
-        o.class.name(),
-    )
+///
+/// The row is assembled in the reused `buf` and copied out once at its
+/// exact length.
+fn encode_outcome(o: &FaultOutcome, buf: &mut String) -> String {
+    use std::fmt::Write;
+    let f = &o.fault;
+    buf.clear();
+    push_uint(buf, f.spec.cycle);
+    buf.push(':');
+    match f.spec.reg.static_abi_name() {
+        Some(name) => buf.push_str(name),
+        None => {
+            let _ = write!(buf, "{}", f.spec.reg);
+        }
+    }
+    for v in [f.spec.bit, f.func, f.point.0, f.occurrence] {
+        buf.push(':');
+        push_uint(buf, v.into());
+    }
+    buf.push_str(if f.masked { ":m:" } else { ":l:" });
+    buf.push_str(o.class.name());
+    buf.as_str().to_owned()
+}
+
+/// Appends the decimal digits of `v`.
+fn push_uint(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[i..]).expect("ascii digits"));
 }
 
 fn decode_outcome(row: &str) -> Result<FaultOutcome, String> {
     let bad = || format!("malformed outcome row `{row}`");
-    let parts: Vec<&str> = row.split(':').collect();
-    let [cycle, reg, bit, func, point, occurrence, verdict, class] = parts[..] else {
+    let mut parts = row.split(':');
+    let mut next = || parts.next().ok_or_else(bad);
+    let (cycle, reg, bit, func, point, occurrence, verdict, class) =
+        (next()?, next()?, next()?, next()?, next()?, next()?, next()?, next()?);
+    if parts.next().is_some() {
         return Err(bad());
-    };
+    }
     Ok(FaultOutcome {
         fault: SitedFault {
             spec: FaultSpec {
