@@ -22,24 +22,22 @@
 //! engine against the from-scratch scalar engine (the CI perf-smoke
 //! gates).
 //!
-//! Two distribution measurements ride along: every workload's campaign
+//! A distribution measurement rides along: every workload's campaign
 //! prepare phase (full BEC analysis + aligned golden recording) is timed
 //! cold against an empty `--cache-dir` artifact store and warm against the
 //! entries the cold run wrote (`--assert-warm-cache-speedup X` gates the
-//! crc32 ratio — the CI distributed-smoke gate), and when the `bec` CLI
-//! binary is reachable ($BEC_BIN or a sibling of this executable) the
-//! crc32 campaign is re-run at `--spawn` 1/2/4 worker processes with the
-//! merged reports asserted byte-identical.
+//! crc32 ratio — the CI distributed-smoke gate).
 
 use bec::artifacts::ArtifactStore;
 use bec_core::report::{format_table, group_digits};
 use bec_core::{BecAnalysis, BecOptions};
 use bec_sim::shard::{site_fault_space, CampaignSpec, ShardPlan};
+use bec_sim::study::{run_prepared, StudySpec};
 use bec_sim::{
-    default_checkpoint_interval, pool, CheckpointLog, Engine, SimLimits, Simulator, SiteVerdicts,
+    default_checkpoint_interval, CheckpointLog, Engine, PreparedCampaign, SimLimits, Simulator,
+    SiteVerdicts,
 };
 use bec_telemetry::Telemetry;
-use std::path::PathBuf;
 use std::time::Instant;
 
 struct EngineRow {
@@ -78,19 +76,6 @@ impl EngineRow {
     fn fork_rate(&self) -> f64 {
         self.forked_lanes as f64 / self.batched_lanes.max(1) as f64
     }
-}
-
-/// The `bec` CLI binary for the spawn-scaling rows: `$BEC_BIN` when set,
-/// otherwise the sibling of this bench executable in the shared target
-/// directory (present after `cargo build --release` of the facade crate).
-fn bec_binary() -> Option<PathBuf> {
-    if let Ok(p) = std::env::var("BEC_BIN") {
-        let p = PathBuf::from(p);
-        return p.is_file().then_some(p);
-    }
-    let exe = std::env::current_exe().ok()?;
-    let sibling = exe.parent()?.join(if cfg!(windows) { "bec.exe" } else { "bec" });
-    sibling.is_file().then_some(sibling)
 }
 
 fn main() {
@@ -152,6 +137,9 @@ fn main() {
         let interval = default_checkpoint_interval(golden.cycles());
         let (golden, ckpts) = sim.run_golden_checkpointed(interval);
         let plan = ShardPlan::build(site_fault_space(&program, &bec, &golden), campaign_spec);
+        let prep = PreparedCampaign { golden, ckpts, budget, plan };
+        let spec =
+            |workers: usize, engine: Engine| StudySpec { workers, engine, ..Default::default() };
 
         // Engine comparison at one worker: from-scratch scalar vs
         // checkpointed scalar vs bitsliced. Each run carries its own
@@ -159,18 +147,19 @@ fn main() {
         // counters) are read back from the snapshot rather than from
         // ad-hoc stats fields, so the baseline and `--metrics-out` agree
         // by construction.
-        let time_engine = |log: &CheckpointLog, engine: Engine| {
+        let time_engine = |prep: PreparedCampaign, engine: Engine| {
             let tel = Telemetry::enabled();
             let started = Instant::now();
-            let (report, _stats) =
-                pool::run_sharded_engine(&sim, &golden, log, &plan, 1, None, b.name, engine, &tel)
-                    .expect("pool runs");
+            let report = run_prepared(b.name, &program, prep, &spec(1, engine), None, &tel)
+                .expect("pool runs")
+                .report;
             assert!(report.violations().is_empty(), "{}: soundness violation", b.name);
             (started.elapsed().as_secs_f64(), report.to_json().render(), tel.snapshot())
         };
-        let (scratch_wall, baseline, _) = time_engine(&CheckpointLog::disabled(), Engine::Scalar);
-        let (ck_wall, ck_bytes, ck_snap) = time_engine(&ckpts, Engine::Scalar);
-        let (bs_wall, bs_bytes, bs_snap) = time_engine(&ckpts, Engine::Bitsliced);
+        let scratch = PreparedCampaign { ckpts: CheckpointLog::disabled(), ..prep.clone() };
+        let (scratch_wall, baseline, _) = time_engine(scratch, Engine::Scalar);
+        let (ck_wall, ck_bytes, ck_snap) = time_engine(prep.clone(), Engine::Scalar);
+        let (bs_wall, bs_bytes, bs_snap) = time_engine(prep.clone(), Engine::Bitsliced);
         assert_eq!(baseline, ck_bytes, "{}: engines disagree on report bytes", b.name);
         assert_eq!(baseline, bs_bytes, "{}: bitsliced report bytes deviate", b.name);
         let early_exits = ck_snap.counter("campaign.early_exits").unwrap_or(0);
@@ -220,7 +209,7 @@ fn main() {
 
         engine_rows.push(EngineRow {
             name: b.name,
-            runs: plan.runs() as u64,
+            runs: prep.plan.runs() as u64,
             interval,
             scratch_ms: scratch_wall * 1e3,
             checkpointed_ms: ck_wall * 1e3,
@@ -236,9 +225,16 @@ fn main() {
         // Worker scaling of the default (bitsliced, checkpointed) engine.
         let mut serial_wall = 0.0;
         for workers in [1usize, 2, 4, 8] {
-            let (report, stats) =
-                pool::run_sharded(&sim, &golden, &ckpts, &plan, workers, None, b.name)
-                    .expect("pool runs");
+            let run = run_prepared(
+                b.name,
+                &program,
+                prep.clone(),
+                &spec(workers, Engine::default()),
+                None,
+                &Telemetry::disabled(),
+            )
+            .expect("pool runs");
+            let (report, stats) = (run.report, run.stats);
             assert_eq!(
                 report.to_json().render(),
                 baseline,
@@ -256,65 +252,6 @@ fn main() {
                 format!("{:.1} ms", wall * 1e3),
                 format!("{:.2}x", serial_wall / wall),
             ]);
-        }
-    }
-
-    // Process spawn scaling through the real CLI: the same sampled crc32
-    // campaign at 1/2/4 worker processes, merged reports byte-compared.
-    // Purely informational (process spawn has fixed costs a smoke-sized
-    // workload cannot amortize); skipped when the binary is unreachable.
-    let mut spawn_rows = Vec::new();
-    let mut spawn_walls: Vec<(usize, f64)> = Vec::new();
-    match bec_binary() {
-        None => println!(
-            "spawn scaling skipped: `bec` binary not found (set BEC_BIN or build the facade crate)\n"
-        ),
-        Some(bin) => {
-            let file = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/bench_crc32.s");
-            let dir = cache_root.join("spawn");
-            std::fs::create_dir_all(&dir).expect("spawn scratch dir");
-            let mut baseline: Option<Vec<u8>> = None;
-            let mut serial = 0.0;
-            for n in [1usize, 2, 4] {
-                let report = dir.join(format!("spawn-{n}.json"));
-                let started = Instant::now();
-                let out = std::process::Command::new(&bin)
-                    .args([
-                        "campaign",
-                        file,
-                        "--sample",
-                        "512",
-                        "--shards",
-                        "16",
-                        "--spawn",
-                        &n.to_string(),
-                        "--report",
-                        report.to_str().expect("utf-8 report path"),
-                    ])
-                    .output()
-                    .expect("bec campaign runs");
-                assert!(
-                    out.status.success(),
-                    "bec campaign --spawn {n} failed:\n{}",
-                    String::from_utf8_lossy(&out.stderr)
-                );
-                let wall = started.elapsed().as_secs_f64();
-                if n == 1 {
-                    serial = wall;
-                }
-                let bytes = std::fs::read(&report).expect("report written");
-                match &baseline {
-                    None => baseline = Some(bytes),
-                    Some(b) => assert_eq!(&bytes, b, "report depends on --spawn"),
-                }
-                spawn_rows.push(vec![
-                    "bench_crc32".to_owned(),
-                    n.to_string(),
-                    format!("{:.1} ms", wall * 1e3),
-                    format!("{:.2}x", serial / wall),
-                ]);
-                spawn_walls.push((n, wall));
-            }
         }
     }
 
@@ -373,10 +310,6 @@ fn main() {
                 .collect::<Vec<_>>(),
         )
     );
-    if !spawn_rows.is_empty() {
-        println!("\nprocess spawn scaling (bench_crc32.s, seeded sample of 512):\n");
-        print!("{}", format_table(&["Benchmark", "Spawn", "Wall", "Speedup"], &spawn_rows));
-    }
     println!(
         "\nall reports byte-identical across engines and worker counts\n(expect ≥2x at 4 workers, ≥3x checkpointed-vs-scratch and ≥10x\nbitsliced-vs-scratch on an idle host)"
     );
@@ -404,11 +337,6 @@ fn main() {
             base.time_ms(&format!("{prefix}.bitsliced_wall_ms"), r.bitsliced_ms);
             base.time_ms(&format!("{prefix}.cold_prepare_wall_ms"), r.cold_prepare_ms);
             base.time_ms(&format!("{prefix}.warm_prepare_wall_ms"), r.warm_prepare_ms);
-        }
-        // CLI spawn rows use the example-file name so they cannot shadow
-        // the suite crc32 family above.
-        for (n, wall) in &spawn_walls {
-            base.time_ms(&format!("campaign_scaling.bench_crc32.spawn{n}_wall_ms"), wall * 1e3);
         }
         base.write_metrics(&path).expect("baseline written");
         println!("\nwrote {path}");

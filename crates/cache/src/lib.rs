@@ -12,14 +12,14 @@
 //!
 //! Writes are atomic: the entry is written to a process-unique temp file in
 //! the store directory and `rename`d into place, so concurrent processes
-//! (e.g. `bec campaign --spawn N` workers sharing one `--cache-dir`) never
+//! (e.g. two `bec campaign` runs sharing one `--cache-dir`) never
 //! observe a half-written entry — they either miss and recompute, or hit a
 //! complete one. Last writer wins, and since every writer of a key encodes
 //! the same bytes, the race is benign.
 //!
 //! Telemetry: [`Cache::load`] ticks `cache.hits` / `cache.misses` (and
 //! `cache.evictions` on corruption), [`Cache::store`] ticks
-//! `cache.bytes_written` — all worker- and spawn-count-independent for a
+//! `cache.bytes_written` — all worker-count-independent for a
 //! fixed command sequence.
 
 pub mod wire;

@@ -5,10 +5,11 @@
 //! stream, generates a program with [`bec_fuzzgen::generate`], analyzes it,
 //! and checks the analysis's claims empirically from two directions:
 //!
-//! * **soundness** — a full differential campaign
-//!   ([`crate::study::run_campaign`], same engine `bec campaign` uses)
-//!   over the sampled fault space; every statically-masked fault observed
-//!   non-benign is a [`MismatchKind::MaskedViolation`] finding;
+//! * **soundness** — a full differential campaign over the sampled fault
+//!   space ([`crate::study::prepare_campaign`] +
+//!   [`crate::study::run_prepared`], the path `bec campaign` takes); every
+//!   statically-masked fault observed non-benign is a
+//!   [`MismatchKind::MaskedViolation`] finding;
 //! * **class equivalence** — seeded probes that inject two members of one
 //!   coalescing class at corresponding dynamic occurrences and compare the
 //!   trace digests; a divergence is a [`MismatchKind::ClassDivergence`]
@@ -30,13 +31,15 @@ use crate::bitslice::Engine;
 use crate::json::Json;
 use crate::machine::FaultSpec;
 use crate::minimize::{Minimized, Minimizer, Oracle};
+use crate::persist::SiteVerdicts;
 use crate::runner::{GoldenRun, SimLimits, Simulator};
-use crate::study::{run_campaign, StudySpec};
+use crate::study::{prepare_campaign, run_prepared, StudySpec};
 use crate::trace::FaultClass;
 use crate::validate::MismatchKind;
 use bec_core::{BecAnalysis, BecOptions};
 use bec_fuzzgen::{generate, GenConfig};
 use bec_ir::{PointId, Program, Reg};
+use bec_telemetry::Telemetry;
 use bec_testutil::Rng;
 use std::path::Path;
 
@@ -248,7 +251,11 @@ pub fn run_fuzz(
                     engine: spec.engine,
                     golden_reuse: true,
                 };
-                let run = run_campaign(&label, &g.program, &bec, &study, None)?;
+                let verdicts = SiteVerdicts::of(&g.program, &bec);
+                let tel = Telemetry::disabled();
+                let prep =
+                    prepare_campaign(&label, &g.program, &verdicts, &study, None, None, &tel)?;
+                let run = run_prepared(&label, &g.program, prep, &study, None, &tel)?;
                 report.campaign_runs += run.report.runs();
                 let counts = run.report.outcome_counts();
                 for (total, n) in report.outcome_counts.iter_mut().zip(counts) {

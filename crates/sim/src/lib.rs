@@ -79,7 +79,7 @@ pub use persist::{
     decode_golden, decode_substrate, decode_verdicts, encode_golden, encode_substrate,
     encode_verdicts, SiteVerdicts,
 };
-pub use pool::{run_sharded, run_sharded_engine, run_sharded_slice, run_sharded_with, PoolStats};
+pub use pool::PoolStats;
 pub use runner::{FaultRun, GoldenRun, Injector, RunResult, SimLimits, Simulator};
 pub use shard::{
     site_fault_space, CampaignReport, CampaignSpec, FaultOutcome, ShardPlan, ShardResult,

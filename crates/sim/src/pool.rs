@@ -1,4 +1,4 @@
-//! The campaign worker pool: executes a [`ShardPlan`] on `std::thread`
+//! The campaign worker pool: executes a [`ShardPlan`](crate::ShardPlan) on `std::thread`
 //! workers that steal whole shards from a shared queue and stream batched
 //! [`ShardResult`]s back over an `mpsc` channel.
 //!
@@ -11,9 +11,11 @@
 //! count, interleaving or interval assembles the same [`CampaignReport`]:
 //!
 //! ```
-//! use bec_sim::{pool, site_fault_space, CampaignSpec, CheckpointLog, ShardPlan, Simulator};
+//! use bec_sim::study::{prepare_campaign, run_prepared, StudySpec};
+//! use bec_sim::SiteVerdicts;
 //! use bec_core::{BecAnalysis, BecOptions};
 //! use bec_ir::parse_program;
+//! use bec_telemetry::Telemetry;
 //!
 //! let p = parse_program(r#"
 //! func @main(args=0, ret=none) {
@@ -24,21 +26,24 @@
 //!     exit
 //! }
 //! "#)?;
-//! let bec = BecAnalysis::analyze(&p, &BecOptions::paper());
-//! let sim = Simulator::new(&p);
-//! let golden = sim.run_golden();
-//! let plan = ShardPlan::build(site_fault_space(&p, &bec, &golden), CampaignSpec::exhaustive(4));
-//! let ck = CheckpointLog::disabled();
-//! let (one, _) = pool::run_sharded(&sim, &golden, &ck, &plan, 1, None, "ex").unwrap();
-//! let (four, _) = pool::run_sharded(&sim, &golden, &ck, &plan, 4, None, "ex").unwrap();
-//! assert_eq!(one, four); // report bytes never depend on the worker count
+//! let verdicts = SiteVerdicts::of(&p, &BecAnalysis::analyze(&p, &BecOptions::paper()));
+//! let tel = Telemetry::disabled();
+//! let report = |workers| {
+//!     let spec = StudySpec { shards: 4, workers, ..StudySpec::default() };
+//!     let prep = prepare_campaign("ex", &p, &verdicts, &spec, None, None, &tel).unwrap();
+//!     run_prepared("ex", &p, prep, &spec, None, &tel).unwrap().report
+//! };
+//! assert_eq!(report(1), report(4)); // report bytes never depend on the worker count
 //! # Ok::<(), bec_ir::IrError>(())
 //! ```
+//!
+//! The pool has no entry point of its own: [`crate::study::run_prepared`]
+//! is the one way to run a campaign.
 
 use crate::bitslice::{batch_eligible, BatchCounters, BatchRunner, Engine, LaneRun};
-use crate::checkpoint::CheckpointLog;
-use crate::runner::{GoldenRun, Simulator};
-use crate::shard::{CampaignReport, FaultOutcome, ShardPlan, ShardResult};
+use crate::runner::Simulator;
+use crate::shard::{CampaignReport, FaultOutcome, ShardResult};
+use crate::study::{PreparedCampaign, StudySpec};
 use bec_telemetry::{Histogram, Telemetry};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -83,141 +88,31 @@ impl PoolStats {
     }
 }
 
-/// Executes `plan` on `workers` threads, resuming from `resume` when given
-/// (only its missing shards are re-run).
+/// The pool body behind [`crate::study::run_prepared`]: fills `report`'s
+/// pending slots on `spec.workers` threads with `spec.engine`.
 ///
-/// `ckpts` is the golden run's checkpoint log: workers start each fault
-/// run at the nearest checkpoint before the injection cycle and early-exit
-/// on provable re-convergence. Pass [`CheckpointLog::disabled`] for the
-/// from-scratch engine; the report bytes are identical either way.
-///
-/// `label` becomes [`CampaignReport::program`].
-///
-/// # Errors
-///
-/// Fails when `resume` was recorded for a different campaign: its label,
-/// spec or fault-space size disagrees with `plan`/`label`.
-pub fn run_sharded(
-    sim: &Simulator<'_>,
-    golden: &GoldenRun,
-    ckpts: &CheckpointLog,
-    plan: &ShardPlan,
-    workers: usize,
-    resume: Option<CampaignReport>,
-    label: &str,
-) -> Result<(CampaignReport, PoolStats), String> {
-    run_sharded_with(sim, golden, ckpts, plan, workers, resume, label, &Telemetry::disabled())
-}
-
-/// The instrumented form of [`run_sharded`]: identical semantics and
-/// identical report bytes, plus spans (`campaign`, one `shard` span per
-/// executed shard on its worker's timeline), logical `campaign.*`
-/// counters/histograms merged worker-count-independently, `pool.*`
-/// gauges and a throttled live progress meter on stderr.
-///
-/// Runs the default [`Engine`]; [`run_sharded_engine`] selects one
-/// explicitly.
-#[allow(clippy::too_many_arguments)]
-pub fn run_sharded_with(
-    sim: &Simulator<'_>,
-    golden: &GoldenRun,
-    ckpts: &CheckpointLog,
-    plan: &ShardPlan,
-    workers: usize,
-    resume: Option<CampaignReport>,
-    label: &str,
-    tel: &Telemetry,
-) -> Result<(CampaignReport, PoolStats), String> {
-    run_sharded_engine(sim, golden, ckpts, plan, workers, resume, label, Engine::default(), tel)
-}
-
-/// [`run_sharded_with`] with an explicit per-fault execution [`Engine`].
-///
-/// The engine is a wall-clock lever only: the report bytes are identical
-/// across engines and worker counts (`tests/bitslice_equivalence.rs`).
-/// The bitsliced engine silently falls back to the scalar one when the
+/// Records spans (`campaign`, one `shard` span per executed shard on its
+/// worker's timeline), logical `campaign.*` counters/histograms merged
+/// worker-count-independently, `pool.*` gauges and a throttled live
+/// progress meter on stderr. The engine is a wall-clock lever only: the
+/// bitsliced engine silently falls back to the scalar one when the
 /// campaign cannot batch (disabled checkpoints, an incomplete or
 /// over-budget golden run, or more registers than lanes).
-#[allow(clippy::too_many_arguments)]
-pub fn run_sharded_engine(
+pub(crate) fn run(
     sim: &Simulator<'_>,
-    golden: &GoldenRun,
-    ckpts: &CheckpointLog,
-    plan: &ShardPlan,
-    workers: usize,
-    resume: Option<CampaignReport>,
-    label: &str,
-    engine: Engine,
-    tel: &Telemetry,
-) -> Result<(CampaignReport, PoolStats), String> {
-    let report = match resume {
-        Some(prev) => {
-            prev.validate_resume(label, plan, sim.limits().max_cycles)?;
-            prev
-        }
-        None => CampaignReport::empty(label, plan, sim.limits().max_cycles),
-    };
-    run_report(sim, golden, ckpts, plan, workers, report, engine, tel, None, &mut |_, _| {})
-}
-
-/// Executes only the shards in `slice` and returns the *partial* report
-/// (non-slice slots stay `None`) — the worker half of `bec campaign
-/// --spawn`. `on_shard(index, runs)` fires as each shard completes, in
-/// completion order, so a spawned worker can stream progress to its parent.
-///
-/// The partial report merges slot-wise with any disjoint partial of the
-/// same plan into exactly the report a single in-process run produces:
-/// shard outcomes depend only on the plan, never on which process ran them.
-///
-/// # Errors
-///
-/// Fails when `slice` names a shard outside the plan.
-#[allow(clippy::too_many_arguments)]
-pub fn run_sharded_slice(
-    sim: &Simulator<'_>,
-    golden: &GoldenRun,
-    ckpts: &CheckpointLog,
-    plan: &ShardPlan,
-    workers: usize,
-    slice: &[usize],
-    label: &str,
-    engine: Engine,
-    tel: &Telemetry,
-    on_shard: &mut dyn FnMut(usize, usize),
-) -> Result<(CampaignReport, PoolStats), String> {
-    if let Some(&bad) = slice.iter().find(|&&s| s >= plan.shard_count()) {
-        return Err(format!("slice shard {bad} out of range (plan has {})", plan.shard_count()));
-    }
-    let report = CampaignReport::empty(label, plan, sim.limits().max_cycles);
-    run_report(sim, golden, ckpts, plan, workers, report, engine, tel, Some(slice), on_shard)
-}
-
-/// The shared pool body: fills `report`'s pending slots (optionally
-/// restricted to `restrict`) on `workers` threads.
-#[allow(clippy::too_many_arguments)]
-fn run_report(
-    sim: &Simulator<'_>,
-    golden: &GoldenRun,
-    ckpts: &CheckpointLog,
-    plan: &ShardPlan,
-    workers: usize,
+    prep: &PreparedCampaign,
     mut report: CampaignReport,
-    engine: Engine,
+    spec: &StudySpec,
     tel: &Telemetry,
-    restrict: Option<&[usize]>,
-    on_shard: &mut dyn FnMut(usize, usize),
-) -> Result<(CampaignReport, PoolStats), String> {
+) -> (CampaignReport, PoolStats) {
     let started = Instant::now();
-    let workers = workers.max(1);
+    let PreparedCampaign { golden, ckpts, plan, .. } = prep;
+    let workers = spec.workers.max(1);
     let label = report.program.clone();
     let label = label.as_str();
 
-    let all_pending = report.pending_shards();
-    let resumed_shards = plan.shard_count() - all_pending.len();
-    let pending: Vec<usize> = match restrict {
-        Some(keep) => all_pending.into_iter().filter(|s| keep.contains(s)).collect(),
-        None => all_pending,
-    };
+    let pending = report.pending_shards();
+    let resumed_shards = plan.shard_count() - pending.len();
     let planned_runs: u64 = pending.iter().map(|&s| plan.shard(s).len() as u64).sum();
     let next = AtomicUsize::new(0);
     let early = AtomicU64::new(0);
@@ -226,7 +121,7 @@ fn run_report(
     let forked_lanes = AtomicU64::new(0);
     // One decision for the whole pool: batching requires exactly the
     // conditions the scalar convergence early-exit needs.
-    let use_batch = engine == Engine::Bitsliced && batch_eligible(sim, ckpts);
+    let use_batch = spec.engine == Engine::Bitsliced && batch_eligible(sim, ckpts);
     let (tx, rx) = std::sync::mpsc::channel::<ShardResult>();
 
     let _span = tel
@@ -337,7 +232,6 @@ fn run_report(
             let runs = result.outcomes.len();
             done_runs += runs as u64;
             report.shards[slot] = Some(result);
-            on_shard(slot, runs);
             meter.update(done_runs, &[("early_exits", early.load(Ordering::Relaxed))]);
         }
     });
@@ -359,17 +253,19 @@ fn run_report(
         forked_lanes: forked_lanes.load(Ordering::Relaxed),
     };
     stats.record(tel);
-    Ok((report, stats))
+    (report, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::CheckpointLog;
     use crate::shard::{site_fault_space, CampaignSpec, ShardPlan};
+    use crate::study::{run_prepared, CampaignRun};
     use bec_core::{BecAnalysis, BecOptions};
-    use bec_ir::parse_program;
+    use bec_ir::{parse_program, Program};
 
-    fn toy() -> bec_ir::Program {
+    fn toy() -> Program {
         parse_program(
             r#"
 machine xlen=4 regs=4 zero=none
@@ -390,64 +286,74 @@ exit:
         .unwrap()
     }
 
+    /// A hand-built prepared campaign over `p`: checkpoints every
+    /// `interval` cycles (0 = from-scratch), the simulator's default
+    /// budget, and the full classified fault space under `cspec`.
+    fn prepared(p: &Program, cspec: CampaignSpec, interval: u64) -> PreparedCampaign {
+        let bec = BecAnalysis::analyze(p, &BecOptions::paper());
+        let sim = Simulator::new(p);
+        let (golden, ckpts) = match interval {
+            0 => (sim.run_golden(), CheckpointLog::disabled()),
+            n => sim.run_golden_checkpointed(n),
+        };
+        let plan = ShardPlan::build(site_fault_space(p, &bec, &golden), cspec);
+        PreparedCampaign { golden, ckpts, budget: sim.limits().max_cycles, plan }
+    }
+
+    fn run_on(
+        p: &Program,
+        prep: &PreparedCampaign,
+        workers: usize,
+        resume: Option<CampaignReport>,
+        label: &str,
+        tel: &Telemetry,
+    ) -> Result<CampaignRun, String> {
+        let spec = StudySpec { workers, ..StudySpec::default() };
+        run_prepared(label, p, prep.clone(), &spec, resume, tel)
+    }
+
     #[test]
     fn pool_matches_sequential_execution() {
         let p = toy();
-        let bec = BecAnalysis::analyze(&p, &BecOptions::paper());
-        let sim = Simulator::new(&p);
-        let golden = sim.run_golden();
-        let plan =
-            ShardPlan::build(site_fault_space(&p, &bec, &golden), CampaignSpec::exhaustive(6));
-        let (seq, _) =
-            run_sharded(&sim, &golden, &CheckpointLog::disabled(), &plan, 1, None, "toy").unwrap();
-        let (par, stats) =
-            run_sharded(&sim, &golden, &CheckpointLog::disabled(), &plan, 4, None, "toy").unwrap();
-        assert_eq!(seq, par);
-        assert!(seq.is_complete());
-        assert_eq!(stats.executed_shards, 6);
-        assert_eq!(seq.runs(), plan.runs() as u64);
+        let prep = prepared(&p, CampaignSpec::exhaustive(6), 0);
+        let tel = Telemetry::disabled();
+        let seq = run_on(&p, &prep, 1, None, "toy", &tel).unwrap();
+        let par = run_on(&p, &prep, 4, None, "toy", &tel).unwrap();
+        assert_eq!(seq.report, par.report);
+        assert!(seq.report.is_complete());
+        assert_eq!(par.stats.executed_shards, 6);
+        assert_eq!(seq.report.runs(), prep.plan.runs() as u64);
     }
 
     #[test]
     fn resume_runs_only_missing_shards() {
         let p = toy();
-        let bec = BecAnalysis::analyze(&p, &BecOptions::paper());
-        let sim = Simulator::new(&p);
-        let golden = sim.run_golden();
-        let plan =
-            ShardPlan::build(site_fault_space(&p, &bec, &golden), CampaignSpec::exhaustive(5));
-        let (full, _) =
-            run_sharded(&sim, &golden, &CheckpointLog::disabled(), &plan, 2, None, "toy").unwrap();
+        let prep = prepared(&p, CampaignSpec::exhaustive(5), 0);
+        let tel = Telemetry::disabled();
+        let full = run_on(&p, &prep, 2, None, "toy", &tel).unwrap().report;
         let mut partial = full.clone();
         partial.shards[1] = None;
         partial.shards[4] = None;
-        let (resumed, stats) =
-            run_sharded(&sim, &golden, &CheckpointLog::disabled(), &plan, 3, Some(partial), "toy")
-                .unwrap();
-        assert_eq!(resumed, full);
-        assert_eq!(stats.executed_shards, 2);
-        assert_eq!(stats.resumed_shards, 3);
+        let resumed = run_on(&p, &prep, 3, Some(partial), "toy", &tel).unwrap();
+        assert_eq!(resumed.report, full);
+        assert_eq!(resumed.stats.executed_shards, 2);
+        assert_eq!(resumed.stats.resumed_shards, 3);
     }
 
     #[test]
     fn telemetry_totals_are_worker_count_independent() {
         let p = toy();
-        let bec = BecAnalysis::analyze(&p, &BecOptions::paper());
-        let sim = Simulator::new(&p);
-        let (golden, ckpts) = sim.run_golden_checkpointed(4);
-        let plan =
-            ShardPlan::build(site_fault_space(&p, &bec, &golden), CampaignSpec::exhaustive(6));
+        let prep = prepared(&p, CampaignSpec::exhaustive(6), 4);
 
         let snapshots: Vec<_> = [1usize, 2, 8]
             .iter()
             .map(|&w| {
                 let tel = Telemetry::enabled();
-                let (report, stats) =
-                    run_sharded_with(&sim, &golden, &ckpts, &plan, w, None, "toy", &tel).unwrap();
+                let run = run_on(&p, &prep, w, None, "toy", &tel).unwrap();
                 let snap = tel.snapshot();
                 // The registry agrees with the report and the pool stats.
-                assert_eq!(snap.counter("campaign.runs"), Some(report.runs()));
-                assert_eq!(snap.counter("campaign.early_exits"), Some(stats.early_exits));
+                assert_eq!(snap.counter("campaign.runs"), Some(run.report.runs()));
+                assert_eq!(snap.counter("campaign.early_exits"), Some(run.stats.early_exits));
                 assert_eq!(snap.gauge("pool.workers"), Some(w as u64));
                 snap
             })
@@ -484,38 +390,15 @@ exit:
     #[test]
     fn resume_rejects_mismatched_reports() {
         let p = toy();
-        let bec = BecAnalysis::analyze(&p, &BecOptions::paper());
-        let sim = Simulator::new(&p);
-        let golden = sim.run_golden();
-        let plan =
-            ShardPlan::build(site_fault_space(&p, &bec, &golden), CampaignSpec::exhaustive(4));
-        let (full, _) =
-            run_sharded(&sim, &golden, &CheckpointLog::disabled(), &plan, 2, None, "toy").unwrap();
+        let prep = prepared(&p, CampaignSpec::exhaustive(4), 0);
+        let tel = Telemetry::disabled();
+        let full = run_on(&p, &prep, 2, None, "toy", &tel).unwrap().report;
 
-        let err = run_sharded(
-            &sim,
-            &golden,
-            &CheckpointLog::disabled(),
-            &plan,
-            2,
-            Some(full.clone()),
-            "other",
-        )
-        .unwrap_err();
+        let err = run_on(&p, &prep, 2, Some(full.clone()), "other", &tel).err().unwrap();
         assert!(err.contains("resume report is for"), "{err}");
 
-        let other_plan =
-            ShardPlan::build(site_fault_space(&p, &bec, &golden), CampaignSpec::sampled(1, 10, 4));
-        let err = run_sharded(
-            &sim,
-            &golden,
-            &CheckpointLog::disabled(),
-            &other_plan,
-            2,
-            Some(full),
-            "toy",
-        )
-        .unwrap_err();
+        let other = prepared(&p, CampaignSpec::sampled(1, 10, 4), 0);
+        let err = run_on(&p, &other, 2, Some(full), "toy", &tel).err().unwrap();
         assert!(err.contains("disagrees"), "{err}");
     }
 }

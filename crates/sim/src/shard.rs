@@ -249,7 +249,7 @@ impl CampaignReport {
 
     /// Checks that this (possibly partial) report was recorded for exactly
     /// the campaign described by `label`/`plan`/`max_cycles`, so its shards
-    /// may be reused by a resume or merged from a spawned worker.
+    /// may be reused by a resume.
     ///
     /// # Errors
     ///

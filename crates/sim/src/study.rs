@@ -20,10 +20,17 @@
 //! golden probing, budget derivation, checkpointing, sharded execution,
 //! and the report container with its JSON round-trip.
 //!
+//! A campaign runs in two phases: [`prepare_campaign`] (golden probe,
+//! budget, shard plan) and [`run_prepared`] (the sharded pool). Together
+//! they are the one way to run a campaign — `bec campaign`, every study
+//! variant and every fuzzed program go through them.
+//!
 //! ```
-//! use bec_sim::study::{run_campaign, StudySpec};
+//! use bec_sim::study::{prepare_campaign, run_prepared, StudySpec};
+//! use bec_sim::SiteVerdicts;
 //! use bec_core::{BecAnalysis, BecOptions};
 //! use bec_ir::parse_program;
+//! use bec_telemetry::Telemetry;
 //!
 //! let p = parse_program(r#"
 //! func @main(args=0, ret=none) {
@@ -34,9 +41,11 @@
 //!     exit
 //! }
 //! "#)?;
-//! let bec = BecAnalysis::analyze(&p, &BecOptions::paper());
+//! let verdicts = SiteVerdicts::of(&p, &BecAnalysis::analyze(&p, &BecOptions::paper()));
 //! let spec = StudySpec { sample: Some(16), shards: 4, ..StudySpec::default() };
-//! let run = run_campaign("toy", &p, &bec, &spec, None).unwrap();
+//! let tel = Telemetry::disabled();
+//! let prep = prepare_campaign("toy", &p, &verdicts, &spec, None, None, &tel).unwrap();
+//! let run = run_prepared("toy", &p, prep, &spec, None, &tel).unwrap();
 //! assert!(run.report.is_complete());
 //! assert_eq!(run.report.runs(), 16);
 //! assert!(run.report.violations().is_empty());
@@ -52,7 +61,6 @@ use crate::runner::{GoldenRun, SimLimits, Simulator};
 use crate::shard::{CampaignReport, CampaignSpec, ShardPlan};
 use crate::substrate::GoldenSubstrate;
 use crate::trace::FaultClass;
-use bec_core::BecAnalysis;
 use bec_ir::Program;
 use bec_telemetry::Telemetry;
 
@@ -121,44 +129,10 @@ pub struct CampaignRun {
     pub golden: GoldenRun,
 }
 
-/// Runs one differential campaign over `program`, labelled `label` in the
-/// report: golden probe, derived budget, checkpointed engine, sharded
-/// pool. This is the per-variant building block of a study and the same
-/// flow `bec campaign` runs for a single program.
-///
-/// # Errors
-///
-/// Fails when the program does not run to completion, or when `resume`
-/// disagrees with the campaign derived from (`label`, `program`, `spec`).
-pub fn run_campaign(
-    label: &str,
-    program: &Program,
-    bec: &BecAnalysis,
-    spec: &StudySpec,
-    resume: Option<CampaignReport>,
-) -> Result<CampaignRun, String> {
-    run_campaign_with(label, program, bec, spec, resume, &Telemetry::disabled())
-}
-
-/// The instrumented form of [`run_campaign`]: identical semantics and
-/// identical report bytes, plus a `golden` span around the probe/checkpoint
-/// phase, `campaign.checkpoint_interval` / `campaign.budget_cycles` gauges,
-/// and everything [`pool::run_sharded_with`] records.
-pub fn run_campaign_with(
-    label: &str,
-    program: &Program,
-    bec: &BecAnalysis,
-    spec: &StudySpec,
-    resume: Option<CampaignReport>,
-    tel: &Telemetry,
-) -> Result<CampaignRun, String> {
-    run_campaign_shared(label, program, bec, spec, resume, None, tel)
-}
-
 /// A benchmark's shared golden substrate plus the schedule permutation of
-/// the variant under campaign — what [`run_campaign_shared`] needs to
-/// derive the variant's golden run and checkpoint log instead of
-/// re-simulating them.
+/// the variant under campaign — what [`prepare_campaign`] needs to derive
+/// the variant's golden run and checkpoint log instead of re-simulating
+/// them.
 #[derive(Clone, Copy)]
 pub struct SharedGolden<'a> {
     /// The substrate recorded from the benchmark's baseline variant.
@@ -167,48 +141,36 @@ pub struct SharedGolden<'a> {
     pub permutation: &'a [Vec<u32>],
 }
 
-/// [`run_campaign_with`] plus an optional shared golden substrate: when
-/// `shared` is given, the adaptive checkpoint policy is in effect and the
-/// variant passes the substrate's static admission check, the golden probe
-/// is *derived* through the schedule permutation (a cheap replay) instead
-/// of re-simulated — report bytes are identical either way (pinned by
-/// `tests/substrate_equivalence.rs`). Derivations count into the
-/// `study.golden_substrate_hits` / `study.golden_replay_cycles` telemetry
-/// counters.
-pub fn run_campaign_shared(
-    label: &str,
-    program: &Program,
-    bec: &BecAnalysis,
-    spec: &StudySpec,
-    resume: Option<CampaignReport>,
-    shared: Option<SharedGolden<'_>>,
-    tel: &Telemetry,
-) -> Result<CampaignRun, String> {
-    let verdicts = SiteVerdicts::of(program, bec);
-    let prep = prepare_campaign(label, program, &verdicts, spec, None, shared, tel)?;
-    run_prepared(label, program, prep, spec, resume, tel)
-}
-
 /// Everything a campaign needs before the sharded pool starts: the golden
 /// pair, the derived per-run budget, and the shard plan. This is exactly
 /// the phase `bec --cache-dir` persists (its inputs are the analysis
-/// verdicts and the golden pair) and the phase a `bec campaign --spawn`
-/// parent runs once before shipping plan slices to worker processes.
+/// verdicts and the golden pair). Tests that need a hand-picked golden run
+/// or checkpoint log build one as a literal.
+#[derive(Clone)]
 pub struct PreparedCampaign {
     /// The golden (fault-free) run of the program under campaign.
     pub golden: GoldenRun,
-    /// The golden run's checkpoint log.
+    /// The golden run's checkpoint log; its interval is the one in effect
+    /// (0 = disabled).
     pub ckpts: CheckpointLog,
-    /// The checkpoint interval in effect (0 = disabled).
-    pub interval: u64,
     /// The per-run cycle budget.
     pub budget: u64,
     /// The sharded, possibly sampled fault plan.
     pub plan: ShardPlan,
 }
 
-/// The pre-pool phase of [`run_campaign_shared`]: golden probe (or reuse),
-/// completion check, budget derivation and shard planning.
+/// The pre-pool phase of a campaign: golden probe (or reuse), completion
+/// check, budget derivation and shard planning, inside a `golden` span, plus
+/// `campaign.checkpoint_interval` / `campaign.budget_cycles` gauges.
+///
+/// `shared` names the benchmark's golden substrate and the schedule
+/// permutation of `program`: when it is given, the adaptive checkpoint
+/// policy is in effect and the variant passes the substrate's static
+/// admission check, the golden probe is *derived* through the permutation
+/// (a cheap replay) instead of re-simulated — report bytes are identical
+/// either way (pinned by `tests/substrate_equivalence.rs`). Derivations
+/// count into the `study.golden_substrate_hits` /
+/// `study.golden_replay_cycles` telemetry counters.
 ///
 /// `golden_override` short-circuits the golden probe with a previously
 /// recorded pair — the cache layer's warm path. It is only consulted under
@@ -221,7 +183,6 @@ pub struct PreparedCampaign {
 /// # Errors
 ///
 /// Fails when the (possibly reused) golden run did not complete.
-#[allow(clippy::too_many_arguments)]
 pub fn prepare_campaign(
     label: &str,
     program: &Program,
@@ -254,7 +215,6 @@ pub fn prepare_campaign(
             }
         },
     };
-    let interval = ckpts.interval();
     drop(golden_span);
     if golden.result.outcome != crate::ExecOutcome::Completed {
         return Err(format!(
@@ -265,20 +225,30 @@ pub fn prepare_campaign(
     let budget = spec
         .max_cycles
         .unwrap_or_else(|| golden.cycles().saturating_mul(100).saturating_add(10_000));
-    tel.gauge("campaign.checkpoint_interval", interval);
+    tel.gauge("campaign.checkpoint_interval", ckpts.interval());
     tel.gauge("campaign.budget_cycles", budget);
 
     let cspec = CampaignSpec { seed: spec.seed, sample: spec.sample, shards: spec.shards };
     let plan = ShardPlan::build(verdicts.fault_space(&golden), cspec);
-    Ok(PreparedCampaign { golden, ckpts, interval, budget, plan })
+    Ok(PreparedCampaign { golden, ckpts, budget, plan })
 }
 
-/// The pool phase of [`run_campaign_shared`]: executes a prepared
-/// campaign's plan in-process on `spec.workers` threads.
+/// The pool phase of a campaign: executes a prepared campaign's plan
+/// in-process on `spec.workers` threads with `spec.engine`, resuming from
+/// `resume` when given (only its missing shards are re-run). `label`
+/// becomes [`CampaignReport::program`].
+///
+/// Only `spec.workers` and `spec.engine` are read here, and neither
+/// changes the report bytes (`tests/bitslice_equivalence.rs`,
+/// `tests/determinism.rs`). The pool records a `campaign` span with one
+/// `shard` span per executed shard, logical `campaign.*` counters and
+/// histograms merged worker-count-independently, `pool.*` gauges and a
+/// throttled progress meter on stderr.
 ///
 /// # Errors
 ///
-/// Fails when `resume` disagrees with the prepared campaign.
+/// Fails when `resume` was recorded for a different campaign: its label,
+/// spec or fault-space size disagrees with the prepared plan.
 pub fn run_prepared(
     label: &str,
     program: &Program,
@@ -287,20 +257,16 @@ pub fn run_prepared(
     resume: Option<CampaignReport>,
     tel: &Telemetry,
 ) -> Result<CampaignRun, String> {
-    let PreparedCampaign { golden, ckpts, interval, budget, plan } = prep;
-    let sim = Simulator::with_limits(program, SimLimits { max_cycles: budget });
-    let (report, stats) = pool::run_sharded_engine(
-        &sim,
-        &golden,
-        &ckpts,
-        &plan,
-        spec.workers,
-        resume,
-        label,
-        spec.engine,
-        tel,
-    )?;
-    Ok(CampaignRun { report, stats, interval, golden })
+    let sim = Simulator::with_limits(program, SimLimits { max_cycles: prep.budget });
+    let report = match resume {
+        Some(prev) => {
+            prev.validate_resume(label, &prep.plan, prep.budget)?;
+            prev
+        }
+        None => CampaignReport::empty(label, &prep.plan, prep.budget),
+    };
+    let (report, stats) = pool::run(&sim, &prep, report, spec, tel);
+    Ok(CampaignRun { report, stats, interval: prep.ckpts.interval(), golden: prep.golden })
 }
 
 /// The static-verdict × dynamic-outcome cross-table of one campaign: row 0
@@ -776,7 +742,7 @@ fn variant_from_json(doc: &Json) -> Result<VariantRecord, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bec_core::BecOptions;
+    use bec_core::{BecAnalysis, BecOptions};
     use bec_ir::parse_program;
 
     fn toy() -> Program {
@@ -800,10 +766,16 @@ exit:
         .unwrap()
     }
 
-    fn toy_campaign(spec: &StudySpec) -> CampaignRun {
+    fn toy_run(spec: &StudySpec, resume: Option<CampaignReport>) -> CampaignRun {
         let p = toy();
-        let bec = BecAnalysis::analyze(&p, &BecOptions::paper());
-        run_campaign("toy", &p, &bec, spec, None).unwrap()
+        let verdicts = SiteVerdicts::of(&p, &BecAnalysis::analyze(&p, &BecOptions::paper()));
+        let tel = Telemetry::disabled();
+        let prep = prepare_campaign("toy", &p, &verdicts, spec, None, None, &tel).unwrap();
+        run_prepared("toy", &p, prep, spec, resume, &tel).unwrap()
+    }
+
+    fn toy_campaign(spec: &StudySpec) -> CampaignRun {
+        toy_run(spec, None)
     }
 
     fn toy_record(criterion: &str, gated: bool, campaign: CampaignReport) -> VariantRecord {
@@ -847,9 +819,7 @@ exit:
         let full = toy_campaign(&spec);
         let mut partial = full.report.clone();
         partial.shards[2] = None;
-        let p = toy();
-        let bec = BecAnalysis::analyze(&p, &BecOptions::paper());
-        let resumed = run_campaign("toy", &p, &bec, &spec, Some(partial)).unwrap();
+        let resumed = toy_run(&spec, Some(partial));
         assert_eq!(resumed.report, full.report);
         assert_eq!(resumed.stats.resumed_shards, 3);
     }

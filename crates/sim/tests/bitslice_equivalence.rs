@@ -9,8 +9,10 @@
 use bec_core::{BecAnalysis, BecOptions};
 use bec_ir::Program;
 use bec_sim::shard::{site_fault_space, CampaignSpec, ShardPlan};
+use bec_sim::study::{run_prepared, StudySpec};
 use bec_sim::{
-    default_checkpoint_interval, pool, Engine, ExecOutcome, FaultClass, SimLimits, Simulator,
+    default_checkpoint_interval, Engine, ExecOutcome, FaultClass, PreparedCampaign, SimLimits,
+    Simulator,
 };
 use bec_telemetry::Telemetry;
 
@@ -33,19 +35,12 @@ fn assert_cross_engine(label: &str, program: &Program) {
     let plan =
         ShardPlan::build(site_fault_space(program, &bec, &golden), CampaignSpec::exhaustive(16));
 
+    let prep = PreparedCampaign { golden, ckpts, budget, plan };
     let run = |engine: Engine, workers: usize| {
-        pool::run_sharded_engine(
-            &sim,
-            &golden,
-            &ckpts,
-            &plan,
-            workers,
-            None,
-            label,
-            engine,
-            &Telemetry::disabled(),
-        )
-        .expect("pool runs")
+        let spec = StudySpec { workers, engine, ..StudySpec::default() };
+        let run = run_prepared(label, program, prep.clone(), &spec, None, &Telemetry::disabled())
+            .expect("pool runs");
+        (run.report, run.stats)
     };
 
     let (baseline, base_stats) = run(Engine::Scalar, 2);

@@ -8,12 +8,19 @@
 use bec_core::{BecAnalysis, BecOptions};
 use bec_ir::Program;
 use bec_sim::shard::{site_fault_space, CampaignSpec, ShardPlan};
-use bec_sim::{pool, CheckpointLog, ExecOutcome, FaultClass, SimLimits, Simulator};
+use bec_sim::study::{run_prepared, CampaignRun, StudySpec};
+use bec_sim::{CheckpointLog, ExecOutcome, FaultClass, PreparedCampaign, SimLimits, Simulator};
+use bec_telemetry::Telemetry;
 
 fn example(name: &str) -> Program {
     let path = format!("{}/../../examples/{name}", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).expect("example exists");
     bec_rv32::parse_asm(&text).expect("example assembles")
+}
+
+fn run(label: &str, program: &Program, prep: PreparedCampaign, workers: usize) -> CampaignRun {
+    let spec = StudySpec { workers, ..StudySpec::default() };
+    run_prepared(label, program, prep, &spec, None, &Telemetry::disabled()).expect("pool runs")
 }
 
 /// Exhaustive campaign reports must not depend on the checkpoint interval.
@@ -28,11 +35,11 @@ fn assert_equivalent(label: &str, program: &Program) {
         ShardPlan::build(site_fault_space(program, &bec, &golden), CampaignSpec::exhaustive(16));
 
     // Baseline: the from-scratch engine.
-    let (baseline, base_stats) =
-        pool::run_sharded(&sim, &golden, &CheckpointLog::disabled(), &plan, 2, None, label)
-            .expect("pool runs");
-    assert_eq!(base_stats.early_exits, 0, "{label}: disabled log never converges");
-    let baseline_bytes = baseline.to_json().render();
+    let scratch =
+        PreparedCampaign { golden: golden.clone(), ckpts: CheckpointLog::disabled(), budget, plan };
+    let base = run(label, program, scratch.clone(), 2);
+    assert_eq!(base.stats.early_exits, 0, "{label}: disabled log never converges");
+    let baseline_bytes = base.report.to_json().render();
 
     let mut any_early = false;
     for interval in [1u64, 16, 256] {
@@ -44,10 +51,9 @@ fn assert_equivalent(label: &str, program: &Program) {
         assert_eq!(ckpts.interval(), interval);
         assert_eq!(ckpts.len() as u64, golden.cycles().div_ceil(interval), "{label}: coverage");
 
+        let prep = PreparedCampaign { golden: golden_ck, ckpts, ..scratch.clone() };
         for workers in [1usize, 4] {
-            let (report, stats) =
-                pool::run_sharded(&sim, &golden_ck, &ckpts, &plan, workers, None, label)
-                    .expect("pool runs");
+            let CampaignRun { report, stats, .. } = run(label, program, prep.clone(), workers);
             assert_eq!(
                 report.to_json().render(),
                 baseline_bytes,

@@ -8,42 +8,47 @@ use bec_core::{BecAnalysis, BecOptions};
 use bec_ir::Program;
 use bec_sim::json::Json;
 use bec_sim::shard::{site_fault_space, CampaignReport, CampaignSpec, ShardPlan};
-use bec_sim::{pool, CheckpointLog, GoldenRun, SimLimits, Simulator};
+use bec_sim::study::{run_prepared, CampaignRun, StudySpec};
+use bec_sim::{CheckpointLog, PreparedCampaign, Simulator};
+use bec_telemetry::Telemetry;
 
 fn countyears() -> Program {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/countyears.s");
     bec_rv32::parse_asm(&std::fs::read_to_string(path).unwrap()).unwrap()
 }
 
-fn setup(program: &Program) -> (Simulator<'_>, GoldenRun) {
+/// The from-scratch campaign of `program` over `cspec`, with a budget of
+/// twice the golden length.
+fn prepare(program: &Program, cspec: CampaignSpec) -> PreparedCampaign {
     let golden = Simulator::new(program).run_golden();
+    let bec = BecAnalysis::analyze(program, &BecOptions::paper());
+    let plan = ShardPlan::build(site_fault_space(program, &bec, &golden), cspec);
     let budget = golden.cycles() * 2 + 100;
-    let sim = Simulator::with_limits(program, SimLimits { max_cycles: budget });
-    (sim, golden)
+    PreparedCampaign { golden, ckpts: CheckpointLog::disabled(), budget, plan }
+}
+
+fn run(
+    program: &Program,
+    prep: &PreparedCampaign,
+    workers: usize,
+    resume: Option<CampaignReport>,
+    label: &str,
+) -> CampaignRun {
+    let spec = StudySpec { workers, ..StudySpec::default() };
+    run_prepared(label, program, prep.clone(), &spec, resume, &Telemetry::disabled())
+        .expect("pool runs")
 }
 
 #[test]
 fn report_bytes_are_identical_for_any_worker_count() {
     let p = countyears();
-    let (sim, golden) = setup(&p);
-    let bec = BecAnalysis::analyze(&p, &BecOptions::paper());
-    let plan =
-        ShardPlan::build(site_fault_space(&p, &bec, &golden), CampaignSpec::sampled(42, 400, 8));
+    let prep = prepare(&p, CampaignSpec::sampled(42, 400, 8));
 
     let mut renders = Vec::new();
     for workers in [1, 2, 8] {
-        let (report, stats) = pool::run_sharded(
-            &sim,
-            &golden,
-            &CheckpointLog::disabled(),
-            &plan,
-            workers,
-            None,
-            "countyears",
-        )
-        .unwrap();
-        assert_eq!(stats.workers, workers);
-        renders.push(report.to_json().render());
+        let run = run(&p, &prep, workers, None, "countyears");
+        assert_eq!(run.stats.workers, workers);
+        renders.push(run.report.to_json().render());
     }
     assert_eq!(renders[0], renders[1], "1 vs 2 workers");
     assert_eq!(renders[0], renders[2], "1 vs 8 workers");
@@ -55,14 +60,9 @@ fn report_bytes_are_identical_for_any_worker_count() {
 #[test]
 fn resumed_campaign_reproduces_the_uninterrupted_bytes() {
     let p = countyears();
-    let (sim, golden) = setup(&p);
-    let bec = BecAnalysis::analyze(&p, &BecOptions::paper());
-    let plan =
-        ShardPlan::build(site_fault_space(&p, &bec, &golden), CampaignSpec::sampled(7, 300, 6));
+    let prep = prepare(&p, CampaignSpec::sampled(7, 300, 6));
 
-    let (full, _) =
-        pool::run_sharded(&sim, &golden, &CheckpointLog::disabled(), &plan, 2, None, "countyears")
-            .unwrap();
+    let full = run(&p, &prep, 2, None, "countyears").report;
     // Interrupt after an arbitrary subset of shards, round-trip the partial
     // report through its JSON form (as the CLI's --report/--resume does),
     // and finish with a different worker count.
@@ -72,33 +72,18 @@ fn resumed_campaign_reproduces_the_uninterrupted_bytes() {
     partial.shards[5] = None;
     let reloaded =
         CampaignReport::from_json(&Json::parse(&partial.to_json().render()).unwrap()).unwrap();
-    let (resumed, stats) = pool::run_sharded(
-        &sim,
-        &golden,
-        &CheckpointLog::disabled(),
-        &plan,
-        8,
-        Some(reloaded),
-        "countyears",
-    )
-    .unwrap();
-    assert_eq!(stats.executed_shards, 3);
-    assert_eq!(stats.resumed_shards, 3);
-    assert_eq!(resumed.to_json().render(), full.to_json().render());
+    let resumed = run(&p, &prep, 8, Some(reloaded), "countyears");
+    assert_eq!(resumed.stats.executed_shards, 3);
+    assert_eq!(resumed.stats.resumed_shards, 3);
+    assert_eq!(resumed.report.to_json().render(), full.to_json().render());
 }
 
 #[test]
 fn exhaustive_reports_agree_across_worker_counts() {
     let p = countyears();
-    let (sim, golden) = setup(&p);
-    let bec = BecAnalysis::analyze(&p, &BecOptions::paper());
-    let plan = ShardPlan::build(site_fault_space(&p, &bec, &golden), CampaignSpec::exhaustive(16));
-    let (a, _) =
-        pool::run_sharded(&sim, &golden, &CheckpointLog::disabled(), &plan, 1, None, "countyears")
-            .unwrap();
-    let (b, _) =
-        pool::run_sharded(&sim, &golden, &CheckpointLog::disabled(), &plan, 4, None, "countyears")
-            .unwrap();
+    let prep = prepare(&p, CampaignSpec::exhaustive(16));
+    let a = run(&p, &prep, 1, None, "countyears").report;
+    let b = run(&p, &prep, 4, None, "countyears").report;
     assert_eq!(a, b);
     assert_eq!(a.to_json().render(), b.to_json().render());
 }
@@ -112,23 +97,11 @@ fn exhaustive_reports_agree_across_worker_counts() {
 fn four_workers_give_at_least_2x_speedup() {
     let b = bec_suite::crc32::scaled(1);
     let p = b.compile().unwrap();
-    let (sim, golden) = setup(&p);
-    let bec = BecAnalysis::analyze(&p, &BecOptions::paper());
-    let plan = ShardPlan::build(site_fault_space(&p, &bec, &golden), CampaignSpec::exhaustive(64));
+    let prep = prepare(&p, CampaignSpec::exhaustive(64));
 
     let time = |workers: usize| {
         let started = std::time::Instant::now();
-        let (report, _) = pool::run_sharded(
-            &sim,
-            &golden,
-            &CheckpointLog::disabled(),
-            &plan,
-            workers,
-            None,
-            "crc32",
-        )
-        .unwrap();
-        assert!(report.is_complete());
+        assert!(run(&p, &prep, workers, None, "crc32").report.is_complete());
         started.elapsed()
     };
     time(1); // warm-up

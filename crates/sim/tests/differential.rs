@@ -8,7 +8,9 @@
 use bec_core::{BecAnalysis, BecOptions};
 use bec_ir::Program;
 use bec_sim::shard::{site_fault_space, CampaignSpec, ShardPlan};
-use bec_sim::{default_checkpoint_interval, pool, ExecOutcome, SimLimits, Simulator};
+use bec_sim::study::{run_prepared, StudySpec};
+use bec_sim::{default_checkpoint_interval, ExecOutcome, PreparedCampaign, SimLimits, Simulator};
+use bec_telemetry::Telemetry;
 
 fn example(name: &str) -> Program {
     let path = format!("{}/../../examples/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -35,11 +37,15 @@ fn assert_sound(label: &str, program: &Program) {
     assert!(!space.is_empty(), "{label}: nonempty fault space");
     let masked = space.iter().filter(|f| f.masked).count();
     let plan = ShardPlan::build(space, CampaignSpec::exhaustive(16));
-    let (report, _) =
-        pool::run_sharded(&sim, &golden, &ckpts, &plan, 4, None, label).expect("pool runs");
+    let runs = plan.runs() as u64;
+    let prep = PreparedCampaign { golden, ckpts, budget, plan };
+    let spec = StudySpec { workers: 4, ..StudySpec::default() };
+    let report = run_prepared(label, program, prep, &spec, None, &Telemetry::disabled())
+        .expect("pool runs")
+        .report;
 
     assert!(report.is_complete(), "{label}: all shards executed");
-    assert_eq!(report.runs(), plan.runs() as u64, "{label}: every fault ran");
+    assert_eq!(report.runs(), runs, "{label}: every fault ran");
     assert_eq!(report.masked_runs() as usize, masked, "{label}: masked accounting");
     let violations = report.violations();
     assert!(

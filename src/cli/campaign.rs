@@ -12,7 +12,6 @@
 
 use super::{input, CliError, CommonArgs};
 use bec::artifacts::ArtifactStore;
-use bec::spawn::{run_spawned, SpawnConfig, WorkerSource};
 use bec_core::{report, BecAnalysis};
 use bec_sim::json::Json;
 use bec_sim::shard::CampaignReport;
@@ -39,10 +38,6 @@ struct Flags {
     /// `None` derives a default from the golden trace length. The report
     /// bytes are identical for every setting — only wall-clock changes.
     checkpoint_interval: Option<u64>,
-    /// Worker *processes* to spawn (1 = in-process). Like `--workers` and
-    /// the engine, a pure wall-clock lever: the merged report is
-    /// byte-identical at any spawn count.
-    spawn: usize,
 }
 
 fn parse_flags(args: &CommonArgs) -> Result<Flags, CliError> {
@@ -56,7 +51,6 @@ fn parse_flags(args: &CommonArgs) -> Result<Flags, CliError> {
         resume_path: None,
         max_cycles: None,
         checkpoint_interval: None,
-        spawn: 1,
     };
     let mut it = args.rest.iter();
     while let Some(flag) = it.next() {
@@ -118,15 +112,6 @@ fn parse_flags(args: &CommonArgs) -> Result<Flags, CliError> {
                         .map_err(|_| CliError::usage(format!("bad checkpoint interval `{v}`")))?,
                 );
             }
-            "--spawn" => {
-                let v = value("--spawn")?;
-                let n: usize =
-                    v.parse().map_err(|_| CliError::usage(format!("bad spawn count `{v}`")))?;
-                if n == 0 {
-                    return Err(CliError::usage("--spawn must be at least 1"));
-                }
-                flags.spawn = n;
-            }
             other => return Err(CliError::usage(format!("unknown flag `{other}`"))),
         }
     }
@@ -151,10 +136,10 @@ fn load_resume(path: &str) -> Result<Option<CampaignReport>, CliError> {
 /// The prepare phase with `--cache-dir` wired in: analysis verdicts and
 /// (under the adaptive checkpoint policy) the golden pair come from the
 /// artifact store when warm, so a warm run skips the whole analysis +
-/// golden phase. Cold or cacheless runs compute exactly what
-/// `run_campaign_with` always did — the prepared campaign, and therefore
-/// the report, is byte-identical either way.
-pub(super) fn prepare_cached(
+/// golden phase. Cold or cacheless runs compute the verdicts and golden
+/// pair afresh — the prepared campaign, and therefore the report, is
+/// byte-identical either way.
+fn prepare_cached(
     file: &str,
     program: &bec_ir::Program,
     options: &bec_core::BecOptions,
@@ -223,18 +208,8 @@ pub fn run(args: &CommonArgs) -> Result<(), CliError> {
         &tel,
     )
     .map_err(CliError::failed)?;
-    let run = if flags.spawn > 1 {
-        let source = WorkerSource::File { path: args.file.clone() };
-        let cfg = SpawnConfig {
-            spawn: flags.spawn,
-            rules: &args.rules,
-            cache_dir: args.cache_dir.as_deref(),
-        };
-        run_spawned(&source, &args.file, prep, &spec, &cfg, resume, &tel)
-    } else {
-        run_prepared(&args.file, &program, prep, &spec, resume, &tel)
-    }
-    .map_err(CliError::failed)?;
+    let run =
+        run_prepared(&args.file, &program, prep, &spec, resume, &tel).map_err(CliError::failed)?;
     let (campaign, stats, interval) = (run.report, run.stats, run.interval);
 
     if let Some(path) = &flags.report_path {

@@ -9,7 +9,6 @@ mod prune;
 mod schedule;
 mod sim;
 mod study;
-mod worker;
 
 use bec_core::BecOptions;
 use bec_telemetry::Telemetry;
@@ -48,8 +47,7 @@ pub struct CommonArgs {
     pub metrics_out: Option<String>,
     /// Artifact cache directory (`--cache-dir`).
     pub cache_dir: Option<String>,
-    /// Name of the selected rule set (salts cache keys, forwarded to
-    /// spawned workers).
+    /// Name of the selected rule set (salts cache keys).
     pub rules: String,
     /// Remaining command-specific flags, in order.
     pub rest: Vec<String>,
@@ -66,7 +64,7 @@ impl CommonArgs {
 }
 
 /// Maps a `--rules` name to its option set (shared by every argument
-/// parser, so spawned workers resolve names exactly like their parent).
+/// parser).
 pub(crate) fn rule_options(name: &str) -> Result<BecOptions, CliError> {
     match name {
         "paper" => Ok(BecOptions::paper()),
@@ -140,7 +138,6 @@ fn parse_common(args: &[String]) -> Result<CommonArgs, CliError> {
                         | "--resume"
                         | "--checkpoint-interval"
                         | "--engine"
-                        | "--spawn"
                 ) {
                     if let Some(v) = it.next() {
                         rest.push(v.clone());
@@ -180,10 +177,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         // `fuzz` generates its own subjects; it parses its own argument
         // list too.
         "fuzz" => fuzz::run(&args[1..]),
-        // Hidden: the worker half of `bec campaign --spawn`. Parses its own
-        // argument list (slice specs and partial-report paths are not
-        // user-facing flags).
-        "campaign-worker" => worker::run(&args[1..]),
         "encode" => encode::run(&parse_common(&args[1..])?),
         "help" | "--help" | "-h" => Err(CliError::Usage(String::new())),
         other => Err(CliError::usage(format!("unknown command `{other}`"))),

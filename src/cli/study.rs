@@ -121,18 +121,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
                     CliError::usage(format!("unknown engine `{v}` (expected scalar or bitsliced)"))
                 })?;
             }
-            // Worker *processes* per variant campaign. Like --workers and
-            // --engine, a wall-clock lever: report bytes are identical at
-            // any spawn count.
-            "--spawn" => {
-                let v = value("--spawn")?;
-                let n: usize =
-                    v.parse().map_err(|_| CliError::usage(format!("bad spawn count `{v}`")))?;
-                if n == 0 {
-                    return Err(CliError::usage("--spawn must be at least 1"));
-                }
-                cfg.spawn = n;
-            }
             "--cache-dir" => cfg.cache_dir = Some(value("--cache-dir")?),
             "--report" => report_path = Some(value("--report")?),
             "--resume" => resume_path = Some(value("--resume")?),

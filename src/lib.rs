@@ -27,9 +27,6 @@
 //! * [`artifacts`] — the `--cache-dir` artifact store: content-addressed
 //!   persistence of analysis verdicts, golden runs and substrates so warm
 //!   runs skip the whole pre-campaign phase.
-//! * [`spawn`] — the `bec campaign --spawn` multi-process driver: the
-//!   fault space partitioned across child processes and merged back into
-//!   a byte-identical report.
 //!
 //! ## Quickstart
 //!
@@ -52,7 +49,6 @@ pub use bec_sim as sim;
 pub use bec_suite as suite;
 
 pub mod artifacts;
-pub mod spawn;
 pub mod study;
 
 /// The most commonly used types, re-exported for convenience.

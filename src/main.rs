@@ -80,16 +80,12 @@ COMMAND OPTIONS:
               --engine <scalar|bitsliced>         per-fault execution engine
                                                   (default: bitsliced; never
                                                   changes the report bytes)
-              --spawn <N>                         worker *processes* (default
-                                                  1 = in-process); the merged
-                                                  report is byte-identical at
-                                                  any spawn count
     study:    --bench <NAME[,NAME]>               benchmarks to study (repeat
                                                   or comma-separate; default:
                                                   all eight suite benchmarks)
               --sample/--seed/--shards/--workers/--report/--resume/
               --max-cycles/--checkpoint-interval/
-              --engine/--spawn                    as for campaign, applied to
+              --engine                            as for campaign, applied to
                                                   every variant campaign
     fuzz:     --seed <S>                          master seed (default 3052)
               --budget <N>                        programs to generate

@@ -19,7 +19,8 @@
 //! 3. **Measure** — each variant is re-analyzed (its own static verdicts
 //!    are the campaign provenance), its fault surface is computed, and a
 //!    checkpointed differential campaign runs over its classified fault
-//!    space ([`bec_sim::study::run_campaign_shared`]). Under the default
+//!    space ([`bec_sim::study::prepare_campaign`] +
+//!    [`bec_sim::study::run_prepared`]). Under the default
 //!    adaptive checkpoint policy the baseline's golden run is recorded
 //!    once per benchmark as a [`bec_sim::GoldenSubstrate`] and every
 //!    scheduled variant's golden inputs are *derived* through its point
@@ -39,7 +40,6 @@
 //!   deliberately pessimal `worst` bound is exempt).
 
 use crate::artifacts::ArtifactStore;
-use crate::spawn::{run_spawned, SpawnConfig, WorkerSource};
 use bec_core::{BecAnalysis, BecOptions};
 use bec_ir::{MachineConfig, Program};
 use bec_sched::Scheduler;
@@ -63,9 +63,6 @@ pub struct StudyConfig {
     /// Suite benchmark names to study, in order. Empty = all eight, in
     /// the paper's Table III column order.
     pub benchmarks: Vec<String>,
-    /// Worker *processes* per variant campaign (1 = in-process). A pure
-    /// wall-clock lever: report bytes are identical at any spawn count.
-    pub spawn: usize,
     /// `--cache-dir`: persist/reuse substrates across runs. Warm runs
     /// skip the golden phase; report bytes are identical either way.
     pub cache_dir: Option<String>,
@@ -80,7 +77,6 @@ impl StudyConfig {
             rules: "paper".into(),
             spec,
             benchmarks: Vec::new(),
-            spawn: 1,
             cache_dir: None,
         }
     }
@@ -247,20 +243,7 @@ fn study_benchmark(
         let verdicts = SiteVerdicts::of(&variant.program, vbec);
         let prep =
             prepare_campaign(&label, &variant.program, &verdicts, &cfg.spec, None, shared, tel)?;
-        let crun = if cfg.spawn > 1 {
-            let source = WorkerSource::Suite {
-                bench: name.to_owned(),
-                criterion: criterion.name().to_owned(),
-            };
-            let scfg = SpawnConfig {
-                spawn: cfg.spawn,
-                rules: &cfg.rules,
-                cache_dir: cfg.cache_dir.as_deref(),
-            };
-            run_spawned(&source, &label, prep, &cfg.spec, &scfg, prior, tel)?
-        } else {
-            run_prepared(&label, &variant.program, prep, &cfg.spec, prior, tel)?
-        };
+        let crun = run_prepared(&label, &variant.program, prep, &cfg.spec, prior, tel)?;
 
         let verify_span =
             tel.span("verify").arg("benchmark", name).arg("criterion", criterion.name());

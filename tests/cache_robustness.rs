@@ -13,7 +13,7 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-fn run_campaign(cache: &Path, report: &Path, metrics: &Path) {
+fn cached_campaign(cache: &Path, report: &Path, metrics: &Path) {
     let out = Command::new(env!("CARGO_BIN_EXE_bec"))
         .args([
             "campaign",
@@ -56,7 +56,7 @@ fn corrupt_cache_entries_recompute_byte_identical_reports() {
     let cache = dir.join("cache");
     let cold = dir.join("cold.json");
     let cold_metrics = dir.join("cold-metrics.json");
-    run_campaign(&cache, &cold, &cold_metrics);
+    cached_campaign(&cache, &cold, &cold_metrics);
     assert!(counter(&cold_metrics, "cache.misses") >= 2);
     assert!(counter(&cold_metrics, "cache.bytes_written") > 0);
 
@@ -81,7 +81,7 @@ fn corrupt_cache_entries_recompute_byte_identical_reports() {
 
     let hurt = dir.join("hurt.json");
     let hurt_metrics = dir.join("hurt-metrics.json");
-    run_campaign(&cache, &hurt, &hurt_metrics);
+    cached_campaign(&cache, &hurt, &hurt_metrics);
     assert_eq!(
         std::fs::read(&hurt).unwrap(),
         std::fs::read(&cold).unwrap(),
@@ -96,7 +96,7 @@ fn corrupt_cache_entries_recompute_byte_identical_reports() {
     // The recomputed artifacts were re-stored: the next run is warm again.
     let warm = dir.join("warm.json");
     let warm_metrics = dir.join("warm-metrics.json");
-    run_campaign(&cache, &warm, &warm_metrics);
+    cached_campaign(&cache, &warm, &warm_metrics);
     assert_eq!(std::fs::read(&warm).unwrap(), std::fs::read(&cold).unwrap());
     assert!(counter(&warm_metrics, "cache.hits") >= 2);
     assert_eq!(counter(&warm_metrics, "cache.evictions"), 0);

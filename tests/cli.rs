@@ -103,9 +103,13 @@ fn bad_input_fails_with_a_line_number() {
 
 #[test]
 fn unknown_commands_print_usage() {
-    let out = bec(&["bogus"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("USAGE"));
+    // `campaign-worker` was the hidden worker half of the removed
+    // multi-process mode; it is an unknown command like any other.
+    for cmd in ["bogus", "campaign-worker"] {
+        let out = bec(&[cmd]);
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("USAGE"), "{cmd}");
+    }
 }
 
 #[test]
@@ -129,6 +133,9 @@ fn campaign_rejects_vacuous_and_malformed_flags() {
     let out = bec(&["campaign", "examples/gcd.s", "--shards", "0"]);
     assert_eq!(out.status.code(), Some(2));
     let out = bec(&["campaign", "examples/gcd.s", "--workers", "0"]);
+    assert_eq!(out.status.code(), Some(2));
+    // Campaigns run in-process only; the old process fan-out flag is gone.
+    let out = bec(&["campaign", "examples/gcd.s", "--spawn", "2"]);
     assert_eq!(out.status.code(), Some(2));
 }
 

@@ -1,9 +1,9 @@
 //! Report byte-invariance across the distribution levers: a campaign or
-//! study report must be byte-identical whether it ran in-process or across
-//! `--spawn N` worker processes, with a cold or warm `--cache-dir`, on the
-//! scalar or bitsliced engine. These are the same bytes the determinism
-//! contract already pins across `--workers` and `--checkpoint-interval`;
-//! this suite extends the pin to process topology and cache temperature.
+//! study report must be byte-identical with a cold or warm `--cache-dir`
+//! and on the scalar or bitsliced engine. These are the same bytes the
+//! determinism contract already pins across `--workers` and
+//! `--checkpoint-interval`; this suite extends the pin to cache
+//! temperature.
 //!
 //! Also covers the version-salt resume gate: a report recorded by a binary
 //! with a different artifact version salt is rejected on `--resume`.
@@ -29,7 +29,7 @@ fn run_ok(args: &[&str]) -> Output {
 }
 
 #[test]
-fn campaign_reports_are_invariant_across_spawn_cache_and_engine() {
+fn campaign_reports_are_invariant_across_cache_and_engine() {
     for bench in ["bench_crc32.s", "countyears.s"] {
         let file = format!("examples/{bench}");
         let dir = scratch(&format!("campaign-{bench}"));
@@ -43,38 +43,34 @@ fn campaign_reports_are_invariant_across_spawn_cache_and_engine() {
         let baseline = std::fs::read(&base).unwrap();
 
         for engine in ["scalar", "bitsliced"] {
-            for spawn in ["1", "2", "4"] {
-                // One cache directory per (engine, spawn) cell: the first
-                // run is cold (populates it), the second warm (loads it).
-                let cache = dir.join(format!("cache-{engine}-{spawn}"));
-                for temp in ["cold", "warm"] {
-                    let report = dir.join(format!("r-{engine}-{spawn}-{temp}.json"));
-                    let mut args = vec!["campaign", &file];
-                    args.extend_from_slice(&common);
-                    args.extend_from_slice(&[
-                        "--engine",
-                        engine,
-                        "--spawn",
-                        spawn,
-                        "--cache-dir",
-                        cache.to_str().unwrap(),
-                        "--report",
-                        report.to_str().unwrap(),
-                    ]);
-                    run_ok(&args);
-                    assert_eq!(
-                        std::fs::read(&report).unwrap(),
-                        baseline,
-                        "{bench}: report bytes changed at engine={engine} spawn={spawn} {temp}"
-                    );
-                }
+            // One cache directory per engine: the first run is cold
+            // (populates it), the second warm (loads it).
+            let cache = dir.join(format!("cache-{engine}"));
+            for temp in ["cold", "warm"] {
+                let report = dir.join(format!("r-{engine}-{temp}.json"));
+                let mut args = vec!["campaign", &file];
+                args.extend_from_slice(&common);
+                args.extend_from_slice(&[
+                    "--engine",
+                    engine,
+                    "--cache-dir",
+                    cache.to_str().unwrap(),
+                    "--report",
+                    report.to_str().unwrap(),
+                ]);
+                run_ok(&args);
+                assert_eq!(
+                    std::fs::read(&report).unwrap(),
+                    baseline,
+                    "{bench}: report bytes changed at engine={engine} {temp}"
+                );
             }
         }
     }
 }
 
 #[test]
-fn study_reports_are_invariant_across_spawn_and_cache() {
+fn study_reports_are_invariant_across_cache_temperature() {
     let dir = scratch("study");
     let common = ["--bench", "crc32", "--sample", "60", "--shards", "6", "--workers", "2"];
 
@@ -86,13 +82,11 @@ fn study_reports_are_invariant_across_spawn_and_cache() {
     let baseline = std::fs::read(&base).unwrap();
 
     let cache = dir.join("cache");
-    for (tag, spawn) in [("spawn2-cold", "2"), ("spawn2-warm", "2"), ("spawn4-warm", "4")] {
+    for tag in ["cold", "warm"] {
         let report = dir.join(format!("{tag}.json"));
         let mut args = vec!["study"];
         args.extend_from_slice(&common);
         args.extend_from_slice(&[
-            "--spawn",
-            spawn,
             "--cache-dir",
             cache.to_str().unwrap(),
             "--report",

@@ -1,7 +1,7 @@
 //! Seeded mutation test of the report read path: real campaign and study
 //! reports are truncated, byte-flipped and stripped of fields, and every
-//! mutant goes through the same steps `--resume` and the `--spawn` merge
-//! take (UTF-8 read, `Json::parse`, `from_json`, plan validation). Each
+//! mutant goes through the same steps `--resume` takes (UTF-8 read,
+//! `Json::parse`, `from_json`, plan validation). Each
 //! must end in `Ok` or `Err` — never a panic — within a time budget
 //! proportional to its length, so a quadratic step shows up as a failure
 //! rather than as a hang.

@@ -19,11 +19,11 @@
 
 use bec::study::{run_study, StudyConfig};
 use bec_core::{BecAnalysis, BecOptions};
-use bec_sim::study::{run_campaign_shared, StudySpec};
-use bec_sim::{Engine, GoldenSubstrate, SharedGolden, SimLimits, Simulator};
+use bec_sim::study::{prepare_campaign, run_prepared, StudySpec};
+use bec_sim::{Engine, GoldenSubstrate, SharedGolden, SimLimits, Simulator, SiteVerdicts};
 use bec_telemetry::Telemetry;
 
-/// The same per-run cycle budget `run_campaign_shared`'s golden probe uses
+/// The same per-run cycle budget `prepare_campaign`'s golden probe uses
 /// for a default spec; the substrate must be recorded under identical
 /// limits or derived runs could diverge on budget exhaustion.
 const LIMITS: SimLimits = SimLimits { max_cycles: 100_000_000 };
@@ -68,7 +68,8 @@ fn countyears_campaign_bytes_invariant_under_reuse() {
     let substrate = GoldenSubstrate::record(&program, LIMITS).unwrap();
     let scheduler = bec_sched::Scheduler::new(&program, &options);
     for variant in scheduler.variants() {
-        let vbec = BecAnalysis::analyze(&variant.program, &options);
+        let verdicts =
+            SiteVerdicts::of(&variant.program, &BecAnalysis::analyze(&variant.program, &options));
         let label = format!("countyears:{}", variant.criterion.name());
         let mut renders = Vec::new();
         for engine in [Engine::Scalar, Engine::Bitsliced] {
@@ -84,16 +85,19 @@ fn countyears_campaign_bytes_invariant_under_reuse() {
                     Some(SharedGolden { substrate: &substrate, permutation: &variant.permutation }),
                     None,
                 ] {
-                    let run = run_campaign_shared(
+                    let tel = Telemetry::disabled();
+                    let prep = prepare_campaign(
                         &label,
                         &variant.program,
-                        &vbec,
+                        &verdicts,
                         &spec,
                         None,
                         shared,
-                        &Telemetry::disabled(),
+                        &tel,
                     )
                     .unwrap();
+                    let run =
+                        run_prepared(&label, &variant.program, prep, &spec, None, &tel).unwrap();
                     renders.push(run.report.to_json().render());
                 }
             }
