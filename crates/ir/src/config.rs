@@ -41,6 +41,7 @@ impl MachineConfig {
     }
 
     /// Bit mask selecting the `xlen` low bits of a `u64`.
+    #[inline]
     pub fn mask(&self) -> u64 {
         if self.xlen >= 64 {
             u64::MAX
@@ -50,11 +51,13 @@ impl MachineConfig {
     }
 
     /// Truncates a value to the machine word width.
+    #[inline]
     pub fn truncate(&self, value: u64) -> u64 {
         value & self.mask()
     }
 
     /// Sign-extends the `xlen`-bit value `v` to a signed 64-bit integer.
+    #[inline]
     pub fn sign_extend(&self, v: u64) -> i64 {
         let v = self.truncate(v);
         if self.xlen >= 64 {
@@ -70,6 +73,7 @@ impl MachineConfig {
 
     /// Mask applied to shift amounts (RISC-V masks shifts to `log2(xlen)`
     /// bits; for non-power-of-two toy widths we mask by `xlen` via modulo).
+    #[inline]
     pub fn shamt(&self, raw: u64) -> u32 {
         if self.xlen.is_power_of_two() {
             (raw as u32) & (self.xlen - 1)
@@ -79,6 +83,7 @@ impl MachineConfig {
     }
 
     /// Whether `r` is the hardwired zero register.
+    #[inline]
     pub fn is_zero_reg(&self, r: Reg) -> bool {
         self.zero_reg == Some(r)
     }

@@ -15,6 +15,7 @@ use crate::inst::{AluOp, Cond};
 
 /// Evaluates `op a, b` on `xlen`-bit values. Inputs and outputs are
 /// truncated to the machine word.
+#[inline]
 pub fn eval_alu(c: &MachineConfig, op: AluOp, a: u64, b: u64) -> u64 {
     let a = c.truncate(a);
     let b = c.truncate(b);
@@ -81,6 +82,7 @@ fn min_signed(width: u32) -> i64 {
 }
 
 /// Evaluates a branch condition on `xlen`-bit values.
+#[inline]
 pub fn eval_cond(c: &MachineConfig, cond: Cond, a: u64, b: u64) -> bool {
     let a = c.truncate(a);
     let b = c.truncate(b);

@@ -46,12 +46,30 @@ use crate::shard::SitedFault;
 use crate::trace::FaultClass;
 use crate::ExecOutcome;
 use bec_ir::semantics::{eval_alu, eval_cond};
-use bec_ir::{Inst, Reg};
+use bec_ir::{AluOp, Inst, Reg};
 use bec_telemetry::Histogram;
 use std::collections::HashMap;
 
 /// Lanes per batch: one per bit of the `u64` taint masks.
 const LANES: usize = 64;
+
+/// Evaluates `$body` with `$f` bound to the evaluator of ALU operation
+/// `$op`, expanded once per operation: the per-lane loops inside `$body`
+/// then run a fixed operation instead of dispatching on `$op` per lane.
+macro_rules! per_alu_op {
+    ($cfg:expr, $op:expr, |$f:ident| $body:expr) => {
+        per_alu_op!(@expand $cfg, $op, $f, $body;
+            Add Sub And Or Xor Sll Srl Sra Slt Sltu Mul Mulh Mulhu Div Divu Rem Remu)
+    };
+    (@expand $cfg:expr, $op:expr, $f:ident, $body:expr; $($name:ident)*) => {
+        match $op {
+            $(AluOp::$name => {
+                let $f = |a: u64, b: u64| eval_alu($cfg, AluOp::$name, a, b);
+                $body
+            })*
+        }
+    };
+}
 
 /// Which per-fault execution engine the campaign pool runs. Never changes
 /// a report byte — the bitsliced engine is a wall-clock lever, exactly
@@ -106,6 +124,12 @@ pub(crate) struct BatchCounters {
     pub batched_lanes: u64,
     /// Lanes forked out to a scalar tail on divergence.
     pub forked_lanes: u64,
+    /// Cycles the forked scalar tails executed, from the fork to their
+    /// terminal outcome.
+    pub tail_cycles: u64,
+    /// Cycles the shared batch replays executed, from the restored
+    /// checkpoint to the cycle the batch emptied.
+    pub replay_cycles: u64,
     /// Lanes-per-batch distribution.
     pub occupancy: Histogram,
 }
@@ -148,9 +172,11 @@ pub(crate) struct BatchRunner<'p, 's> {
     /// whose lane value differs from the golden value printed there.
     out_patches: Vec<(u32, u8, u64)>,
     /// Lanes of the current `Load` whose effective address diverged but
-    /// stayed batched; their per-lane loaded (extended) values.
+    /// stayed batched (their loaded values wait in `lane_results`).
     load_divergent: u64,
-    load_vals: Vec<u64>,
+    /// Per-lane results of the instruction being replayed, valid for the
+    /// lanes its taint update visits.
+    lane_results: [u64; LANES],
 }
 
 impl<'p, 's> BatchRunner<'p, 's> {
@@ -168,7 +194,7 @@ impl<'p, 's> BatchRunner<'p, 's> {
             reg_snap: vec![0; nregs],
             out_patches: Vec::new(),
             load_divergent: 0,
-            load_vals: vec![0; LANES],
+            lane_results: [0; LANES],
         }
     }
 
@@ -264,21 +290,24 @@ impl<'p, 's> BatchRunner<'p, 's> {
     /// Forks lane `lane` out of the batch at the boundary state `st`: the
     /// lane's scalar state is materialized on the shared machine, its tail
     /// runs to a terminal outcome through the scalar interpreter, and the
-    /// machine is restored for the replay to continue. `sdc` tells whether
-    /// the lane already printed a divergent value; `diverged` whether its
-    /// trace diverged at all (divergent print or load) — in either case
-    /// the replayed hash is the golden one, not the lane's own, so
-    /// classification must not trust it.
+    /// machine is restored for the replay to continue. The lane's bit in
+    /// `sdc` tells whether it already printed a divergent value; in
+    /// `hash_div` whether its trace diverged at all (divergent print or
+    /// load) — in either case the replayed hash is the golden one, not the
+    /// lane's own, so classification must not trust it.
     #[allow(clippy::too_many_arguments)]
     fn fork_lane(
         &mut self,
         golden: &GoldenRun,
         st: &ExecState,
         lane: usize,
-        sdc: bool,
-        diverged: bool,
+        sdc: u64,
+        hash_div: u64,
         restored_at: u64,
+        counters: &mut BatchCounters,
     ) -> LaneRun {
+        let sdc = sdc >> lane & 1 != 0;
+        let diverged = hash_div >> lane & 1 != 0;
         let mark = self.dirty.len();
         self.reg_snap.copy_from_slice(self.machine.regs());
         let mut t = self.tainted_regs;
@@ -316,6 +345,8 @@ impl<'p, 's> BatchRunner<'p, 's> {
             &mut self.machine,
             &mut self.dirty,
         );
+        counters.forked_lanes += 1;
+        counters.tail_cycles += raw.cycles - st.cycle;
         // Undo the tail: pop its dirty words in reverse and restore the
         // replay's register file, leaving the shared state exactly at the
         // boundary again.
@@ -377,6 +408,11 @@ impl<'p, 's> BatchRunner<'p, 's> {
         let restored_at = ckpts.checkpoints[idx].cycle;
         let mut st =
             ExecState::restore(ckpts, idx, golden.outputs(), &mut self.machine, &mut self.dirty);
+        // Lanes can only converge strictly after the injection cycle.
+        let mut converge_at = ckpts.after(inj_cycle);
+        // The current function, held across steps (replaced on call/return).
+        let flat = &self.sim.flat;
+        let mut func = &flat.funcs[st.func as usize];
         debug_assert_eq!(self.tainted_regs, 0, "previous batch fully retired");
         self.out_patches.clear();
 
@@ -407,7 +443,7 @@ impl<'p, 's> BatchRunner<'p, 's> {
                 st.cycle < max_cycles && st.steps < step_limit,
                 "golden replay exceeded the budget it was recorded under"
             );
-            let step = &self.sim.flat.funcs[st.func as usize].steps[st.pc as usize];
+            let step = &func.steps[st.pc as usize];
             if let FlatStep::Goto { target } = step {
                 st.pc = *target;
                 continue;
@@ -418,40 +454,38 @@ impl<'p, 's> BatchRunner<'p, 's> {
             // checkpoint-aligned cycles only. All non-register state of a
             // resident lane equals the golden replay's by construction, so
             // the check reduces to the per-bit register comparison.
-            if st.cycle > inj_cycle {
-                if let Some(ck) = ckpts.at_cycle(st.cycle) {
-                    let mut ok = active & !sdc & !hash_div;
-                    let mut t = self.tainted_regs;
-                    while ok != 0 && t != 0 {
-                        let r = t.trailing_zeros() as usize;
-                        t &= t - 1;
-                        let live = ck.live_bits[r];
-                        let g = self.machine.regs()[r];
-                        let mut m = self.taint[r] & ok;
-                        while m != 0 {
-                            let lane = m.trailing_zeros() as usize;
-                            m &= m - 1;
-                            if (self.vals[r * LANES + lane] ^ g) & live != 0 {
-                                ok &= !(1u64 << lane);
-                            }
+            if let Some(ck) = converge_at.at(st.cycle) {
+                let mut ok = active & !sdc & !hash_div;
+                let mut t = self.tainted_regs;
+                while ok != 0 && t != 0 {
+                    let r = t.trailing_zeros() as usize;
+                    t &= t - 1;
+                    let live = ck.live_bits[r];
+                    let g = self.machine.regs()[r];
+                    let mut m = self.taint[r] & ok;
+                    while m != 0 {
+                        let lane = m.trailing_zeros() as usize;
+                        m &= m - 1;
+                        if (self.vals[r * LANES + lane] ^ g) & live != 0 {
+                            ok &= !(1u64 << lane);
                         }
                     }
-                    if ok != 0 {
-                        retire(
-                            out,
-                            ok,
-                            LaneRun {
-                                class: FaultClass::Benign,
-                                converged_at: Some(st.cycle),
-                                simulated_cycles: st.cycle - restored_at,
-                                restored_at,
-                            },
-                        );
-                        active &= !ok;
-                        self.clear_lanes(ok);
-                        if active == 0 {
-                            break 'replay;
-                        }
+                }
+                if ok != 0 {
+                    retire(
+                        out,
+                        ok,
+                        LaneRun {
+                            class: FaultClass::Benign,
+                            converged_at: Some(st.cycle),
+                            simulated_cycles: st.cycle - restored_at,
+                            restored_at,
+                        },
+                    );
+                    active &= !ok;
+                    self.clear_lanes(ok);
+                    if active == 0 {
+                        break 'replay;
                     }
                 }
             }
@@ -551,10 +585,15 @@ impl<'p, 's> BatchRunner<'p, 's> {
                         let a = self.lane_value(*rs1, lane, a_g);
                         let b = rs2.map(|r| self.lane_value(r, lane, b_g)).unwrap_or(0);
                         if eval_cond(&cfg, *cond, a, b) != taken_g {
-                            let s = sdc >> lane & 1 != 0;
-                            let d = hash_div >> lane & 1 != 0;
-                            let run = self.fork_lane(golden, &st, lane, s, d, restored_at);
-                            counters.forked_lanes += 1;
+                            let run = self.fork_lane(
+                                golden,
+                                &st,
+                                lane,
+                                sdc,
+                                hash_div,
+                                restored_at,
+                                counters,
+                            );
                             out[lanes[lane].2 as usize] = run;
                             active &= !(1u64 << lane);
                         }
@@ -614,7 +653,8 @@ impl<'p, 's> BatchRunner<'p, 's> {
                         ra_token: token,
                     });
                     st.func = *callee;
-                    st.pc = self.sim.flat.funcs[*callee as usize].entry_pc;
+                    func = &flat.funcs[*callee as usize];
+                    st.pc = func.entry_pc;
                 }
                 FlatStep::Branch { cond, rs1, rs2, taken, fall, .. } => {
                     let a = self.machine.read(*rs1);
@@ -624,11 +664,13 @@ impl<'p, 's> BatchRunner<'p, 's> {
                 FlatStep::Ret { .. } => {
                     let frame = st.stack.pop().expect("entry returns retired the batch");
                     st.func = frame.func;
+                    func = &flat.funcs[frame.func as usize];
                     st.pc = frame.ret_pc;
                 }
             }
         }
 
+        counters.replay_cycles += st.cycle - restored_at;
         // Undo the batch, leaving the scratch machine in initial state.
         self.machine.restore_regs(&self.initial_regs);
         while let Some((w, old)) = self.dirty.pop() {
@@ -691,7 +733,7 @@ impl<'p, 's> BatchRunner<'p, 's> {
                         *active &= !(1u64 << lane);
                     } else {
                         let raw = self.machine.memory.load(addr, size).expect("bounds checked");
-                        self.load_vals[lane] = Self::extend_load(raw, *signed, size);
+                        self.lane_results[lane] = Self::extend_load(raw, *signed, size);
                         self.load_divergent |= 1u64 << lane;
                         *hash_div |= 1u64 << lane;
                     }
@@ -724,10 +766,15 @@ impl<'p, 's> BatchRunner<'p, 's> {
                     let lane = m.trailing_zeros() as usize;
                     m &= m - 1;
                     if self.lane_value(*rs, lane, 0) & mask != g {
-                        let s = *sdc >> lane & 1 != 0;
-                        let d = *hash_div >> lane & 1 != 0;
-                        let run = self.fork_lane(golden, st, lane, s, d, restored_at);
-                        counters.forked_lanes += 1;
+                        let run = self.fork_lane(
+                            golden,
+                            st,
+                            lane,
+                            *sdc,
+                            *hash_div,
+                            restored_at,
+                            counters,
+                        );
                         out[lanes[lane].2 as usize] = run;
                         *active &= !(1u64 << lane);
                     }
@@ -791,10 +838,7 @@ impl<'p, 's> BatchRunner<'p, 's> {
                     restored_at,
                 }
             } else {
-                counters.forked_lanes += 1;
-                let s = sdc >> lane & 1 != 0;
-                let d = hash_div >> lane & 1 != 0;
-                self.fork_lane(golden, st, lane, s, d, restored_at)
+                self.fork_lane(golden, st, lane, sdc, hash_div, restored_at, counters)
             };
             out[lanes[lane].2 as usize] = run;
             *active &= !(1u64 << lane);
@@ -807,54 +851,26 @@ impl<'p, 's> BatchRunner<'p, 's> {
     /// values; a lane whose result equals the golden one drops its taint.
     fn exec_inst(&mut self, inst: &Inst, st: &mut ExecState) {
         let cfg = *self.machine.config();
-        let mut lane_results = [0u64; LANES];
-        // (rd, lanes-with-a-possibly-divergent-result) of arithmetic steps.
+        // (rd, lanes-with-a-possibly-divergent-result) of arithmetic steps;
+        // the lane results land in `lane_results`.
         let pending: Option<(Reg, u64)> = match inst {
             Inst::Li { rd, .. } | Inst::La { rd, .. } => Some((*rd, 0)),
-            Inst::Load { rd, .. } => {
-                // Divergent-address lanes read their own (extended) value,
-                // recorded by `detect_inst`; everyone else gets the golden
-                // load and drops any stale `rd` taint.
-                let m = self.load_divergent;
-                let mut i = m;
-                while i != 0 {
-                    let lane = i.trailing_zeros() as usize;
-                    i &= i - 1;
-                    lane_results[lane] = self.load_vals[lane];
-                }
-                Some((*rd, m))
+            // Divergent-address lanes read their own (extended) value,
+            // recorded by `detect_inst`; everyone else gets the golden load
+            // and drops any stale `rd` taint.
+            Inst::Load { rd, .. } => Some((*rd, self.load_divergent)),
+            Inst::Mv { rd, rs } => Some((*rd, self.lane_unary(*rs, |v| v))),
+            Inst::Neg { rd, rs } => {
+                Some((*rd, self.lane_unary(*rs, |v| cfg.truncate(0u64.wrapping_sub(v)))))
             }
-            Inst::Mv { rd, rs } => Some((*rd, self.lane_unary(*rs, &mut lane_results, |v| v))),
-            Inst::Neg { rd, rs } => Some((
-                *rd,
-                self.lane_unary(*rs, &mut lane_results, |v| cfg.truncate(0u64.wrapping_sub(v))),
-            )),
-            Inst::Seqz { rd, rs } => {
-                Some((*rd, self.lane_unary(*rs, &mut lane_results, |v| u64::from(v == 0))))
-            }
-            Inst::Snez { rd, rs } => {
-                Some((*rd, self.lane_unary(*rs, &mut lane_results, |v| u64::from(v != 0))))
-            }
+            Inst::Seqz { rd, rs } => Some((*rd, self.lane_unary(*rs, |v| u64::from(v == 0)))),
+            Inst::Snez { rd, rs } => Some((*rd, self.lane_unary(*rs, |v| u64::from(v != 0)))),
             Inst::AluImm { op, rd, rs1, imm } => {
                 let imm = *imm as u64;
-                Some((
-                    *rd,
-                    self.lane_unary(*rs1, &mut lane_results, |v| eval_alu(&cfg, *op, v, imm)),
-                ))
+                Some((*rd, per_alu_op!(&cfg, *op, |f| self.lane_unary(*rs1, |v| f(v, imm)))))
             }
             Inst::Alu { op, rd, rs1, rs2 } => {
-                let a_g = self.machine.read(*rs1);
-                let b_g = self.machine.read(*rs2);
-                let affected = self.taint_of(*rs1) | self.taint_of(*rs2);
-                let mut m = affected;
-                while m != 0 {
-                    let lane = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let a = self.lane_value(*rs1, lane, a_g);
-                    let b = self.lane_value(*rs2, lane, b_g);
-                    lane_results[lane] = eval_alu(&cfg, *op, a, b);
-                }
-                Some((*rd, affected))
+                Some((*rd, per_alu_op!(&cfg, *op, |f| self.lane_binary(*rs1, *rs2, f))))
             }
             Inst::Store { .. } | Inst::Print { .. } | Inst::Nop => None,
             Inst::Call { .. } => unreachable!("pre-resolved during flattening"),
@@ -884,8 +900,8 @@ impl<'p, 's> BatchRunner<'p, 's> {
             while m != 0 {
                 let lane = m.trailing_zeros() as usize;
                 m &= m - 1;
-                if lane_results[lane] != g_rd {
-                    self.vals[rd.index() as usize * LANES + lane] = lane_results[lane];
+                if self.lane_results[lane] != g_rd {
+                    self.vals[rd.index() as usize * LANES + lane] = self.lane_results[lane];
                     taint |= 1u64 << lane;
                 }
             }
@@ -910,18 +926,34 @@ impl<'p, 's> BatchRunner<'p, 's> {
 
     /// Computes lane results of a unary operation over the tainted lanes
     /// of `rs`; returns the affected-lane mask.
-    fn lane_unary(
-        &mut self,
-        rs: Reg,
-        lane_results: &mut [u64; LANES],
-        f: impl Fn(u64) -> u64,
-    ) -> u64 {
+    #[inline(always)]
+    fn lane_unary(&mut self, rs: Reg, f: impl Fn(u64) -> u64) -> u64 {
         let affected = self.taint_of(rs);
+        let vals = &self.vals[rs.index() as usize * LANES..][..LANES];
         let mut m = affected;
         while m != 0 {
             let lane = m.trailing_zeros() as usize;
             m &= m - 1;
-            lane_results[lane] = f(self.vals[rs.index() as usize * LANES + lane]);
+            self.lane_results[lane] = f(vals[lane]);
+        }
+        affected
+    }
+
+    /// Computes lane results of a binary operation over the lanes where
+    /// `rs1` or `rs2` is tainted (the other operand at its golden value);
+    /// returns the affected-lane mask.
+    #[inline(always)]
+    fn lane_binary(&mut self, rs1: Reg, rs2: Reg, f: impl Fn(u64, u64) -> u64) -> u64 {
+        let a_g = self.machine.read(rs1);
+        let b_g = self.machine.read(rs2);
+        let affected = self.taint_of(rs1) | self.taint_of(rs2);
+        let mut m = affected;
+        while m != 0 {
+            let lane = m.trailing_zeros() as usize;
+            m &= m - 1;
+            let a = self.lane_value(rs1, lane, a_g);
+            let b = self.lane_value(rs2, lane, b_g);
+            self.lane_results[lane] = f(a, b);
         }
         affected
     }

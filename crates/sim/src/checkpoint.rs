@@ -276,24 +276,37 @@ impl CheckpointLog {
         }
     }
 
+    /// A forward cursor over the checkpoints captured strictly after
+    /// `cycle` — the ones a run injected at `cycle` may converge at.
+    pub(crate) fn after(&self, cycle: u64) -> CheckpointCursor<'_> {
+        let first = self.checkpoints.partition_point(|c| c.cycle <= cycle);
+        CheckpointCursor { pending: &self.checkpoints[first..] }
+    }
+}
+
+/// Answers "the checkpoint exactly at this cycle" for a run that asks once
+/// per cycle in increasing order: one comparison per cycle instead of a
+/// lookup.
+pub(crate) struct CheckpointCursor<'a> {
+    /// Checkpoints not yet passed, in cycle order.
+    pending: &'a [Checkpoint],
+}
+
+impl<'a> CheckpointCursor<'a> {
     /// The checkpoint exactly at `cycle`, if one was recorded there.
-    pub(crate) fn at_cycle(&self, cycle: u64) -> Option<&Checkpoint> {
-        match self.spacing {
-            Spacing::Uniform(0) => None,
-            Spacing::Uniform(n) => {
-                if !cycle.is_multiple_of(n) {
-                    return None;
-                }
-                let ck = self.checkpoints.get((cycle / n) as usize)?;
-                debug_assert_eq!(ck.cycle, cycle);
-                Some(ck)
+    /// Successive calls must pass strictly increasing cycles.
+    #[inline]
+    pub(crate) fn at(&mut self, cycle: u64) -> Option<&'a Checkpoint> {
+        while let [ck, rest @ ..] = self.pending {
+            if ck.cycle > cycle {
+                return None;
             }
-            Spacing::Aligned { .. } => self
-                .checkpoints
-                .binary_search_by_key(&cycle, |c| c.cycle)
-                .ok()
-                .map(|i| &self.checkpoints[i]),
+            self.pending = rest;
+            if ck.cycle == cycle {
+                return Some(ck);
+            }
         }
+        None
     }
 }
 
@@ -351,7 +364,7 @@ mod tests {
         let log = CheckpointLog::disabled();
         assert!(!log.is_enabled());
         assert_eq!(log.interval(), 0);
-        assert!(log.at_cycle(0).is_none());
+        assert!(log.after(0).at(1).is_none());
         assert_eq!(log.delta_words(), 0);
     }
 
@@ -424,7 +437,15 @@ mod tests {
         assert_eq!(log.nearest_at_or_before(17), 1);
         assert_eq!(log.nearest_at_or_before(64), 2);
         assert_eq!(log.nearest_at_or_before(1000), 3);
-        assert_eq!(log.at_cycle(40).map(|c| c.cycle), Some(40));
-        assert!(log.at_cycle(41).is_none());
+        // The cursor yields exactly the checkpoints strictly after its
+        // start, each at its own cycle.
+        let mut cursor = log.after(17);
+        let hits: Vec<u64> = (0..200).filter_map(|c| cursor.at(c)).map(|c| c.cycle).collect();
+        assert_eq!(hits, [40, 99]);
+        let mut cursor = log.after(0);
+        assert!(cursor.at(16).is_none());
+        assert!(cursor.at(41).is_none(), "skipping past a checkpoint passes it");
+        assert_eq!(cursor.at(99).map(|c| c.cycle), Some(99));
+        assert!(cursor.at(1000).is_none());
     }
 }

@@ -488,7 +488,13 @@ pub(crate) fn apply_rw_backward(live: &mut [u64], ev: &RwEvent, xlen_mask: u64) 
 /// convergence early-exit (fault runs; requires `fault`). `start` begins
 /// execution from an explicit mid-run state instead (forked bitsliced
 /// lanes; the machine must already hold that state).
+///
+/// Always inlined: every call site passes constant modes, so each one
+/// compiles to a loop without the per-step checks of the modes it does
+/// not use (a forked tail pays for no fault, capture, tape, profile or
+/// convergence check).
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 pub(crate) fn run(
     flat: &FlatProgram<'_>,
     max_cycles: u64,
@@ -505,6 +511,7 @@ pub(crate) fn run(
     let mut cycle_map = record.then(Vec::new);
     let mut rw_map = capture.as_deref().is_some_and(CheckpointLog::captures).then(Vec::new);
     let step_limit = max_cycles.saturating_mul(2) + 1024;
+    let xlen_mask = machine.config().truncate(u64::MAX);
 
     // Maintain the incremental memory digest only when checkpoints are in
     // play; plain runs skip the per-store mixing.
@@ -534,22 +541,29 @@ pub(crate) fn run(
     // A convergence early-exit claims the run finishes exactly like the
     // golden suffix — only valid if that suffix itself fits this run's
     // budget (the golden run may have been recorded under different
-    // limits).
-    let early_exit_ok = resume.as_ref().is_some_and(|r| {
-        r.log.completed && r.log.final_cycles <= max_cycles && r.log.final_steps < step_limit
-    });
+    // limits). The cursor walks the checkpoints strictly after the
+    // injection cycle, the only ones a faulted run can converge at.
+    let mut converge_at = resume
+        .as_ref()
+        .filter(|r| {
+            r.log.completed && r.log.final_cycles <= max_cycles && r.log.final_steps < step_limit
+        })
+        .zip(fault)
+        .map(|(r, f)| r.log.after(f.cycle));
 
     enum LoopEnd {
         Outcome(ExecOutcome),
         Converged(u64),
     }
 
+    // The current function, held across steps (replaced on call/return).
+    let mut func = &flat.funcs[st.func as usize];
     let end = 'run: loop {
         st.steps += 1;
         if st.cycle >= max_cycles || st.steps >= step_limit {
             break LoopEnd::Outcome(ExecOutcome::Timeout);
         }
-        let step = &flat.funcs[st.func as usize].steps[st.pc as usize];
+        let step = &func.steps[st.pc as usize];
 
         // Zero-cost fallthrough: unconditional jumps take no cycle and
         // leave no trace event (block layout is not modeled; DESIGN.md §2).
@@ -560,8 +574,7 @@ pub(crate) fn run(
 
         // Canonical cycle boundary: the next step consumes a cycle.
         if let Some(log) = capture.as_deref_mut() {
-            let at_block_entry = || flat.funcs[st.func as usize].is_block_entry(st.pc);
-            if log.capture_due(st.cycle, at_block_entry) {
+            if log.capture_due(st.cycle, || func.is_block_entry(st.pc)) {
                 for &(w, _) in &dirty[delta_start..] {
                     cum_image.insert(w, machine.memory.word(w));
                 }
@@ -582,15 +595,9 @@ pub(crate) fn run(
                 log.note_captured(st.cycle);
             }
         }
-        if early_exit_ok {
-            if let (Some(ctx), Some(f)) = (&resume, fault) {
-                if st.cycle > f.cycle {
-                    if let Some(ck) = ctx.log.at_cycle(st.cycle) {
-                        if st.matches(machine, ck) {
-                            break 'run LoopEnd::Converged(st.cycle);
-                        }
-                    }
-                }
+        if let Some(ck) = converge_at.as_mut().and_then(|c| c.at(st.cycle)) {
+            if st.matches(machine, ck) {
+                break 'run LoopEnd::Converged(st.cycle);
             }
         }
 
@@ -621,7 +628,6 @@ pub(crate) fn run(
         // derivation is only paid on capturing (golden) runs — `track_rw`
         // is false in the campaign hot path.
         let track_rw = rw_map.is_some();
-        let xlen_mask = machine.config().truncate(u64::MAX);
         let rw: RwEvent;
         match step {
             FlatStep::Goto { .. } => unreachable!("handled above"),
@@ -651,7 +657,8 @@ pub(crate) fn run(
                 machine.write(Reg::RA, token);
                 st.stack.push(FrameSnap { func: st.func, ret_pc: st.pc + 1, ra_token: token });
                 st.func = *callee;
-                st.pc = flat.funcs[*callee as usize].entry_pc;
+                func = &flat.funcs[*callee as usize];
+                st.pc = func.entry_pc;
             }
             FlatStep::Branch { cond, rs1, rs2, taken, fall, .. } => {
                 rw = RwEvent::full(
@@ -692,6 +699,7 @@ pub(crate) fn run(
                         break 'run LoopEnd::Outcome(ExecOutcome::Crashed(CrashKind::WildReturn));
                     }
                     st.func = frame.func;
+                    func = &flat.funcs[frame.func as usize];
                     st.pc = frame.ret_pc;
                 }
             },
@@ -748,6 +756,9 @@ pub(crate) enum StepResult {
     Trap(CrashKind),
 }
 
+/// Executes one ordinary instruction. Always inlined, so each interpreter
+/// mode drops the digest and tape work it does not use.
+#[inline(always)]
 pub(crate) fn step_inst(
     m: &mut Machine,
     inst: &Inst,

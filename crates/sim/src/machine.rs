@@ -57,57 +57,70 @@ impl Memory {
 
     /// Little-endian load of `size` bytes (1, 2 or 4). `None` on a bounds
     /// violation.
+    #[inline]
     pub fn load(&self, addr: u64, size: u64) -> Option<u64> {
         let addr = addr as usize;
-        let size = size as usize;
-        if addr.checked_add(size)? > self.bytes.len() {
-            return None;
-        }
-        let mut v = 0u64;
-        for i in (0..size).rev() {
-            v = v << 8 | u64::from(self.bytes[addr + i]);
-        }
-        Some(v)
+        let bytes = self.bytes.get(addr..addr.checked_add(size as usize)?)?;
+        Some(match *bytes {
+            [b] => u64::from(b),
+            [b0, b1] => u64::from(u16::from_le_bytes([b0, b1])),
+            [b0, b1, b2, b3] => u64::from(u32::from_le_bytes([b0, b1, b2, b3])),
+            // Widths no instruction issues go byte by byte.
+            _ => bytes.iter().rev().fold(0, |v, &b| v << 8 | u64::from(b)),
+        })
     }
 
     /// The aligned 32-bit word at word index `widx` (little-endian). Bytes
     /// past the end of a tiny memory read as zero, so word-granular
     /// checkpoint deltas work on machines whose memory is smaller than one
     /// word.
+    #[inline]
     pub fn word(&self, widx: u32) -> u32 {
         let base = widx as usize * 4;
-        let mut v = 0u32;
-        for i in (0..4).rev() {
-            let byte = self.bytes.get(base + i).copied().unwrap_or(0);
-            v = v << 8 | u32::from(byte);
+        let mut le = [0u8; 4];
+        match self.bytes.get(base..base + 4) {
+            Some(bytes) => le.copy_from_slice(bytes),
+            None => {
+                let tail = self.bytes.get(base..).unwrap_or(&[]);
+                le[..tail.len()].copy_from_slice(tail);
+            }
         }
-        v
+        u32::from_le_bytes(le)
     }
 
     /// Overwrites the aligned 32-bit word at word index `widx`, ignoring
     /// bytes past the end of the memory (mirror of [`Memory::word`]).
+    #[inline]
     pub fn set_word(&mut self, widx: u32, value: u32) {
         let base = widx as usize * 4;
-        for i in 0..4 {
-            if let Some(b) = self.bytes.get_mut(base + i) {
-                *b = (value >> (8 * i)) as u8;
-            }
+        let le = value.to_le_bytes();
+        if let Some(bytes) = self.bytes.get_mut(base..base + 4) {
+            bytes.copy_from_slice(&le);
+        } else if let Some(tail) = self.bytes.get_mut(base..) {
+            tail.copy_from_slice(&le[..tail.len()]);
         }
     }
 
     /// Little-endian store of `size` bytes. `false` on a bounds violation.
+    #[inline]
     pub fn store(&mut self, addr: u64, size: u64, value: u64) -> bool {
         let addr = addr as usize;
-        let size = size as usize;
-        match addr.checked_add(size) {
-            Some(end) if end <= self.bytes.len() => {
-                for i in 0..size {
-                    self.bytes[addr + i] = (value >> (8 * i)) as u8;
+        let end = addr.checked_add(size as usize);
+        let Some(bytes) = end.and_then(|end| self.bytes.get_mut(addr..end)) else {
+            return false;
+        };
+        match bytes.len() {
+            1 => bytes[0] = value as u8,
+            2 => bytes.copy_from_slice(&(value as u16).to_le_bytes()),
+            4 => bytes.copy_from_slice(&(value as u32).to_le_bytes()),
+            // Widths no instruction issues go byte by byte.
+            _ => {
+                for (i, b) in bytes.iter_mut().enumerate() {
+                    *b = (value >> (8 * i)) as u8;
                 }
-                true
             }
-            _ => false,
         }
+        true
     }
 }
 
@@ -137,6 +150,7 @@ impl Machine {
     }
 
     /// Reads a register (the hardwired zero register reads 0).
+    #[inline]
     pub fn read(&self, r: Reg) -> u64 {
         if self.config.is_zero_reg(r) {
             return 0;
@@ -145,6 +159,7 @@ impl Machine {
     }
 
     /// Writes a register (writes to the hardwired zero register vanish).
+    #[inline]
     pub fn write(&mut self, r: Reg, v: u64) {
         if self.config.is_zero_reg(r) {
             return;
@@ -154,6 +169,7 @@ impl Machine {
 
     /// Injects a fault: flips `bit` of `reg`. Flips into the hardwired zero
     /// register are physically impossible and ignored.
+    #[inline]
     pub fn flip(&mut self, reg: Reg, bit: u32) {
         if self.config.is_zero_reg(reg) || bit >= self.config.xlen {
             return;
@@ -236,6 +252,86 @@ mod tests {
         let mut m = Machine::new(&p);
         m.write(Reg::phys(1), 0x13);
         assert_eq!(m.read(Reg::phys(1)), 3);
+    }
+
+    /// The byte-wise definition of a little-endian load.
+    fn load_bytewise(bytes: &[u8], addr: usize, size: usize) -> Option<u64> {
+        if addr.checked_add(size)? > bytes.len() {
+            return None;
+        }
+        Some((0..size).rev().fold(0, |v, i| v << 8 | u64::from(bytes[addr + i])))
+    }
+
+    /// The byte-wise definition of [`Memory::word`]: bytes past the end
+    /// read as zero.
+    fn word_bytewise(bytes: &[u8], widx: usize) -> u32 {
+        (0..4)
+            .rev()
+            .fold(0, |v, i| v << 8 | u32::from(bytes.get(widx * 4 + i).copied().unwrap_or(0)))
+    }
+
+    /// The word-wide accessors agree with the byte-wise definitions at
+    /// every offset near both ends of memory, for every access width, on
+    /// memories whose size is a word multiple (including the 16-byte
+    /// `example4` memory) and on ones ending in a partial word.
+    #[test]
+    fn word_wide_accessors_match_bytewise_definition() {
+        let mut ex4 = program_with_global();
+        ex4.config = MachineConfig::example4();
+        ex4.globals.clear();
+        let mut small = Memory::for_program(&ex4);
+        assert_eq!(small.len(), 16);
+        for (i, b) in small.bytes.iter_mut().enumerate() {
+            *b = (i * 37 + 11) as u8;
+        }
+        let patterned =
+            |len: usize| Memory { bytes: (0..len).map(|i| (i * 37 + 11) as u8).collect() };
+        let value = 0x8765_4321_fedc_ba98u64;
+        for m in [small, patterned(64), patterned(6), patterned(3)] {
+            let len = m.len();
+            for addr in (0..len.min(12)).chain(len.saturating_sub(12)..len + 8) {
+                for size in [1, 2, 4] {
+                    let load = m.load(addr as u64, size as u64);
+                    assert_eq!(
+                        load,
+                        load_bytewise(&m.bytes, addr, size),
+                        "load {addr}+{size} of {len}"
+                    );
+                    let mut stored = m.clone();
+                    let mut want = m.bytes.clone();
+                    let fits = addr + size <= len;
+                    if fits {
+                        for i in 0..size {
+                            want[addr + i] = (value >> (8 * i)) as u8;
+                        }
+                    }
+                    assert_eq!(stored.store(addr as u64, size as u64, value), fits);
+                    assert_eq!(stored.bytes, want, "store {addr}+{size} of {len}");
+                }
+            }
+            for widx in 0..len / 4 + 3 {
+                assert_eq!(
+                    m.word(widx as u32),
+                    word_bytewise(&m.bytes, widx),
+                    "word {widx} of {len}"
+                );
+                let mut set = m.clone();
+                set.set_word(widx as u32, value as u32);
+                let mut want = m.bytes.clone();
+                for i in 0..4 {
+                    if let Some(b) = want.get_mut(widx * 4 + i) {
+                        *b = (value >> (8 * i)) as u8;
+                    }
+                }
+                assert_eq!(set.bytes, want, "set_word {widx} of {len}");
+            }
+        }
+        // On the 16-byte machine the word past the end reads as zero and
+        // writes to it vanish.
+        let mut m = Memory::for_program(&ex4);
+        m.set_word(4, u32::MAX);
+        assert_eq!(m.word(4), 0);
+        assert!(m.bytes.iter().all(|&b| b == 0));
     }
 
     #[test]

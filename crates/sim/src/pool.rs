@@ -217,6 +217,8 @@ pub(crate) fn run(
                     tel.add("campaign.batches", counters.batches);
                     tel.add("campaign.batched_lanes", counters.batched_lanes);
                     tel.add("campaign.forked_lanes", counters.forked_lanes);
+                    tel.add("campaign.tail_cycles", counters.tail_cycles);
+                    tel.add("campaign.replay_cycles", counters.replay_cycles);
                     batches.fetch_add(counters.batches, Ordering::Relaxed);
                     batched_lanes.fetch_add(counters.batched_lanes, Ordering::Relaxed);
                     forked_lanes.fetch_add(counters.forked_lanes, Ordering::Relaxed);
@@ -367,6 +369,10 @@ exit:
             "campaign.early_exits",
             "campaign.simulated_cycles",
             "campaign.saved_cycles",
+            "campaign.batches",
+            "campaign.forked_lanes",
+            "campaign.tail_cycles",
+            "campaign.replay_cycles",
             "campaign.outcome.benign",
             "campaign.outcome.sdc",
             "campaign.outcome.crash",
@@ -383,8 +389,11 @@ exit:
             snapshots.iter().map(|s| s.histogram("campaign.run_cycles").cloned()).collect();
         assert!(hists[0].is_some());
         assert!(hists.windows(2).all(|w| w[0] == w[1]), "run_cycles histogram varies");
-        // With checkpointing on, some runs restore mid-trace.
+        // With checkpointing on, some runs restore mid-trace; some lanes
+        // diverge at the loop branch and finish in a forked scalar tail.
         assert!(snapshots[0].histogram("campaign.restore_distance").unwrap().count > 0);
+        assert!(snapshots[0].counter("campaign.tail_cycles").unwrap() > 0);
+        assert!(snapshots[0].counter("campaign.replay_cycles").unwrap() > 0);
     }
 
     #[test]

@@ -39,6 +39,7 @@ impl TraceHash {
     /// collision-free per stream; the second stream absorbs the word
     /// rotated by 32 bits so cross-word collisions would have to survive
     /// two differently-aligned carry chains.
+    #[inline]
     pub fn update(&mut self, word: u64) {
         self.a = (self.a ^ word).wrapping_mul(FNV_PRIME);
         self.b = (self.b ^ word.rotate_left(32) ^ B_TWEAK).wrapping_mul(FNV_PRIME);

@@ -160,11 +160,50 @@ fn parse_common(args: &[String]) -> Result<CommonArgs, CliError> {
     })
 }
 
+/// The subcommands, in `USAGE` order.
+const COMMANDS: [&str; 8] =
+    ["analyze", "prune", "schedule", "sim", "campaign", "study", "fuzz", "encode"];
+
+/// The entry of [`crate::USAGE`] whose (4-space indented) line starts with
+/// `head`, together with its deeper-indented continuation lines.
+fn usage_entry(head: &str) -> Option<String> {
+    let mut lines = crate::USAGE
+        .lines()
+        .skip_while(|l| !l.strip_prefix("    ").is_some_and(|l| l.starts_with(head)));
+    let first = lines.next()?;
+    let rest = lines.take_while(|l| l.starts_with("     "));
+    Some(std::iter::once(first).chain(rest).map(|l| format!("{l}\n")).collect())
+}
+
+/// `bec <cmd> --help`: the command's summary, synopsis, own options and
+/// the common options, cut from [`crate::USAGE`] so the two never drift.
+fn command_usage(cmd: &str) -> String {
+    let file = if matches!(cmd, "study" | "fuzz") { "" } else { " <FILE>" };
+    let mut out = usage_entry(&format!("{cmd} ")).unwrap_or_default();
+    out += &format!("\nUSAGE:\n    bec {cmd} [OPTIONS]{file}\n");
+    if let Some(own) = usage_entry(&format!("{cmd}:")) {
+        out += &format!("\nCOMMAND OPTIONS:\n{own}");
+    }
+    let common = crate::USAGE.split("COMMON OPTIONS:\n").nth(1).unwrap_or("");
+    out += &format!("\nCOMMON OPTIONS:\n{}\n", common.split("\n\n").next().unwrap_or(""));
+    out
+}
+
 /// Runs the CLI on an argument list (exposed for the integration tests).
+/// `--help`/`-h` print usage to stdout and succeed: after a command, that
+/// command's usage; in place of one, the full usage.
 pub fn run(args: &[String]) -> Result<(), CliError> {
     let Some(cmd) = args.first() else {
         return Err(CliError::usage(String::new()));
     };
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        print!("{}", crate::USAGE);
+        return Ok(());
+    }
+    if COMMANDS.contains(&cmd.as_str()) && args[1..].iter().any(|a| a == "--help" || a == "-h") {
+        print!("{}", command_usage(cmd));
+        return Ok(());
+    }
     match cmd.as_str() {
         "analyze" => analyze::run(&parse_common(&args[1..])?),
         "campaign" => campaign::run(&parse_common(&args[1..])?),
@@ -178,7 +217,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         // list too.
         "fuzz" => fuzz::run(&args[1..]),
         "encode" => encode::run(&parse_common(&args[1..])?),
-        "help" | "--help" | "-h" => Err(CliError::Usage(String::new())),
         other => Err(CliError::usage(format!("unknown command `{other}`"))),
     }
 }

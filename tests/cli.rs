@@ -112,6 +112,43 @@ fn unknown_commands_print_usage() {
     }
 }
 
+/// `bec <cmd> --help` / `-h` print that command's usage on stdout and
+/// succeed, wherever the flag appears and whatever else is on the line;
+/// `bec --help` prints the full usage the same way.
+#[test]
+fn help_flags_print_command_usage() {
+    let cases: [(&str, Option<&str>); 8] = [
+        ("analyze", None),
+        ("prune", None),
+        ("schedule", Some("--criterion")),
+        ("sim", Some("--fault")),
+        ("campaign", Some("--checkpoint-interval")),
+        ("study", Some("--bench")),
+        ("fuzz", Some("--budget")),
+        ("encode", Some("--base")),
+    ];
+    for (cmd, own_flag) in cases {
+        for args in [vec![cmd, "--help"], vec![cmd, "-h"], vec![cmd, "examples/gcd.s", "--help"]] {
+            let out = bec(&args);
+            assert_eq!(out.status.code(), Some(0), "{args:?}");
+            assert!(out.stderr.is_empty(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+            let text = String::from_utf8(out.stdout).expect("utf8 usage");
+            assert!(text.starts_with(&format!("    {cmd} ")), "{args:?}:\n{text}");
+            assert!(text.contains(&format!("bec {cmd} [OPTIONS]")), "{args:?}:\n{text}");
+            assert!(text.contains("--json"), "{args:?}: common options missing\n{text}");
+            if let Some(flag) = own_flag {
+                assert!(text.contains(flag), "{args:?}: `{flag}` missing\n{text}");
+            }
+        }
+    }
+    for flag in ["--help", "-h", "help"] {
+        let out = bec(&[flag]);
+        assert_eq!(out.status.code(), Some(0), "{flag}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains("USAGE") && text.contains("COMMANDS"), "{flag}: {text}");
+    }
+}
+
 #[test]
 fn sim_rejects_out_of_file_fault_registers() {
     let out = bec(&["sim", "examples/gcd.s", "--fault", "0:x40:0"]);
