@@ -1,10 +1,10 @@
-//! Shared harness for the experiment binaries and Criterion benches.
+//! Shared harness for the experiment binaries.
 //!
 //! Every table and figure of the paper has a regenerating binary:
 //!
 //! | Paper artifact | Binary |
 //! |---|---|
-//! | Table I (exhaustive campaign cost) | `table1` |
+//! | Table I (exhaustive campaign cost: the cycle-exhaustive fault space on the campaign engine, time and report size) | `table1` |
 //! | Table II (validation) | `table2` |
 //! | Table III (fault-injection pruning) | `table3` |
 //! | Table IV (scheduling reliability) | `table4` |

@@ -6,26 +6,31 @@
 //! observable outputs), and can flip one register bit at a chosen cycle —
 //! the paper's single-event-upset model. On top of it sit:
 //!
-//! * [`campaign`] — exhaustive, inject-on-read (value-level) and BEC
-//!   (bit-level) fault-injection campaigns, parallelized across worker
-//!   threads;
-//! * [`shard`] + [`pool`] — the sharded campaign engine: the statically
-//!   classified fault space partitioned into work-stealing shards executed
-//!   on a thread pool, with seeded sampling and a resumable JSON
-//!   [`CampaignReport`] that doubles as a differential soundness oracle
-//!   (statically-masked faults must be observed benign);
-//! * [`checkpoint`] — periodic golden-run checkpoints: fault runs start at
-//!   the nearest checkpoint before their injection cycle and early-exit as
-//!   soon as they provably re-converge with the golden run, making
-//!   exhaustive campaigns several times cheaper at byte-identical reports;
-//! * [`study`] — the scheduled-variant reliability study engine: one
-//!   differential campaign per program variant, aggregated into a
-//!   resumable, Table IV-style [`StudyReport`] with a static-verdict ×
-//!   dynamic-outcome cross-table per variant;
+//! * [`shard`] + [`pool`] — the one campaign engine: a fault space (the
+//!   statically classified [`site_fault_space`], the cycle-exhaustive
+//!   [`exhaustive_fault_space`], or any filter of either) partitioned into
+//!   work-stealing shards executed on a thread pool, with seeded sampling
+//!   and a resumable JSON [`CampaignReport`] that doubles as a differential
+//!   soundness oracle (statically-masked faults must be observed benign);
+//! * [`checkpoint`] + [`bitslice`] — periodic golden-run checkpoints and
+//!   the bitsliced lane engine: fault runs start at the nearest checkpoint
+//!   before their injection cycle, share one golden replay across up to 64
+//!   same-cycle faults, and early-exit as soon as they provably re-converge
+//!   with the golden run, at byte-identical reports;
+//! * [`study`] — the campaign driver ([`study::prepare_campaign`] →
+//!   [`study::run_prepared`], the one way to run a campaign) and the
+//!   scheduled-variant reliability study engine: one differential campaign
+//!   per program variant, aggregated into a resumable, Table IV-style
+//!   [`StudyReport`] with a static-verdict × dynamic-outcome cross-table per
+//!   variant;
 //! * [`substrate`] — the variant-shared golden substrate: the baseline's
 //!   golden run, aligned checkpoints and event streams recorded once per
 //!   benchmark, with every scheduled variant's campaign inputs *derived*
 //!   through the schedule permutation instead of re-simulated;
+//! * [`persist`] — the byte codecs of the `--cache-dir` artifacts (site
+//!   verdicts, golden pairs, substrates);
+//! * [`fuzz`] + [`minimize`] — the differential fuzzing loop over generated
+//!   programs and the delta-debugging shrinker for its findings;
 //! * [`validate`] — the empirical soundness validation of §V / Table II:
 //!   fault sites in one equivalence class must produce identical traces.
 //!
@@ -52,7 +57,6 @@
 //! ```
 
 pub mod bitslice;
-pub mod campaign;
 pub mod checkpoint;
 pub mod exec;
 pub mod fuzz;
@@ -69,7 +73,6 @@ pub mod trace;
 pub mod validate;
 
 pub use bitslice::Engine;
-pub use campaign::{CampaignKind, CampaignSummary};
 pub use checkpoint::{default_checkpoint_interval, Checkpoint, CheckpointLog};
 pub use exec::{CrashKind, ExecOutcome};
 pub use fuzz::{run_fuzz, FuzzFinding, FuzzReport, FuzzSpec};
@@ -82,8 +85,8 @@ pub use persist::{
 pub use pool::PoolStats;
 pub use runner::{FaultRun, GoldenRun, Injector, RunResult, SimLimits, Simulator};
 pub use shard::{
-    site_fault_space, CampaignReport, CampaignSpec, FaultOutcome, ShardPlan, ShardResult,
-    SitedFault,
+    exhaustive_fault_space, site_fault_space, CampaignReport, CampaignSpec, FaultOutcome,
+    ShardPlan, ShardResult, SitedFault,
 };
 pub use study::{CrossTable, PreparedCampaign, SharedGolden, StudyReport, StudySpec};
 pub use substrate::{DerivedGolden, GoldenSubstrate};

@@ -86,9 +86,9 @@ impl FaultOutcome {
 /// Enumerates the full statically-classified fault space of `program`, in
 /// canonical order (function, point, occurrence, register, bit).
 ///
-/// Unlike [`crate::campaign::value_level_faults`], dead (statically masked)
-/// sites are included — they are exactly the claims a differential campaign
-/// must test.
+/// Unlike an inject-on-read (value-level) fault list, dead (statically
+/// masked) sites are included — they are exactly the claims a differential
+/// campaign must test.
 ///
 /// Occurrence-major order keeps every fault of one injection cycle — all
 /// read registers, all bits — contiguous, so the contiguous shard split
@@ -103,6 +103,38 @@ pub fn site_fault_space(
     // be persisted (`bec --cache-dir`) and replayed against a golden run
     // without the analysis.
     crate::persist::SiteVerdicts::of(program, bec).fault_space(golden)
+}
+
+/// Enumerates the cycle-exhaustive fault space of `program`: every bit of
+/// every [`fault_regs`](bec_ir::MachineConfig::fault_regs) register before
+/// every cycle of `golden`, in cycle-major order — the paper's Table I
+/// baseline and the brute-force ground truth the pruned spaces are
+/// measured against.
+///
+/// Each fault is sited at the point executing at its cycle; `occurrence`
+/// counts that point's earlier executions. No fault carries a static
+/// claim (`masked: false`), so a campaign over this space tests nothing
+/// differentially — it only classifies.
+pub fn exhaustive_fault_space(program: &Program, golden: &GoldenRun) -> Vec<SitedFault> {
+    let regs: Vec<Reg> = program.config.fault_regs().collect();
+    let xlen = program.config.xlen;
+    let mut out = Vec::with_capacity(golden.cycles() as usize * regs.len() * xlen as usize);
+    for cycle in 0..golden.cycles() {
+        let (func, point) = golden.point_at(cycle).expect("cycle inside the golden trace");
+        let occurrence = golden.occurrences(func, point).partition_point(|&c| c < cycle) as u32;
+        for &reg in &regs {
+            for bit in 0..xlen {
+                out.push(SitedFault {
+                    spec: FaultSpec { cycle, reg, bit },
+                    func: func as u32,
+                    point,
+                    occurrence,
+                    masked: false,
+                });
+            }
+        }
+    }
+    out
 }
 
 /// The deterministic inputs of a campaign. Two campaigns with equal specs
@@ -581,6 +613,24 @@ exit:
         // contiguous (full batches for the bitsliced engine).
         let key = |f: &SitedFault| (f.func, f.point.0, f.occurrence, f.spec.reg, f.spec.bit);
         assert!(space.windows(2).all(|w| key(&w[0]) < key(&w[1])));
+    }
+
+    #[test]
+    fn exhaustive_space_covers_every_cycle_register_and_bit() {
+        let p = toy();
+        let golden = Simulator::new(&p).run_golden();
+        // 2 + 7×8 + 1 executed instructions (jumps are free).
+        assert_eq!(golden.cycles(), 59);
+        let space = exhaustive_fault_space(&p, &golden);
+        assert_eq!(space.len(), 59 * 4 * 4);
+        assert!(space.iter().all(|f| !f.masked));
+        // Every fault is sited at the point executing at its cycle, and
+        // its occurrence indexes that point's execution cycles.
+        for f in &space {
+            assert_eq!(golden.point_at(f.spec.cycle), Some((f.func as usize, f.point)));
+            let cycles = golden.occurrences(f.func as usize, f.point);
+            assert_eq!(cycles[f.occurrence as usize], f.spec.cycle);
+        }
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //!
 //! Masked sites (`[s0]`) are validated against the golden trace itself.
 
-use crate::campaign::occurrence_map;
 use crate::machine::FaultSpec;
 use crate::runner::Simulator;
 use bec_core::{BecAnalysis, BecOptions};
@@ -102,7 +101,7 @@ pub fn validate_program(program: &Program, options: &BecOptions) -> ValidationRe
     let sim = Simulator::new(program);
     let golden = sim.run_golden();
     let golden_digest = golden.result.hash.digest();
-    let occs = occurrence_map(&golden);
+    let occs = golden.occurrence_index();
 
     let mut report = ValidationReport::default();
     // (class representative, occurrence index) → member runs: the trace

@@ -7,7 +7,7 @@
 //! count, so the deterministic output stays byte-comparable and the wall
 //! time goes to stderr.
 
-use super::{input, CliError, CommonArgs};
+use super::{flag_value, input, CampaignFlag, CliError, CommonArgs};
 use bec::artifacts::ArtifactStore;
 use bec_core::{report, BecAnalysis};
 use bec_sim::json::Json;
@@ -58,14 +58,14 @@ fn parse_workers(rest: &[String]) -> Result<usize, CliError> {
     let mut workers = 1usize;
     let mut it = rest.iter();
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--workers" => {
-                let v = it.next().ok_or_else(|| CliError::usage("--workers needs a value"))?;
+        match CampaignFlag::named(a) {
+            Some(CampaignFlag::Workers) => {
+                let v = flag_value(a, &mut it)?;
                 workers = v
                     .parse::<usize>()
                     .map_err(|_| CliError::usage(format!("bad worker count `{v}`")))?;
             }
-            other => return Err(CliError::usage(format!("unknown analyze flag `{other}`"))),
+            _ => return Err(CliError::usage(format!("unknown analyze flag `{a}`"))),
         }
     }
     if workers == 0 {

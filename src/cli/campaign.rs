@@ -10,127 +10,43 @@
 //! resumable: `--report out.json --resume out.json` re-runs only the shards
 //! missing from an interrupted campaign.
 
-use super::{input, CliError, CommonArgs};
+use super::{
+    flag_value, input, load_resume, write_report, CampaignFlag, CampaignFlags, CliError, CommonArgs,
+};
 use bec::artifacts::ArtifactStore;
 use bec_core::{report, BecAnalysis};
 use bec_sim::json::Json;
 use bec_sim::shard::CampaignReport;
-use bec_sim::study::{prepare_campaign, run_prepared, StudySpec, DEFAULT_SEED, DEFAULT_SHARDS};
+use bec_sim::study::{prepare_campaign, run_prepared, StudySpec};
 use bec_sim::{Engine, FaultClass, PoolStats, SimLimits, Simulator, SiteVerdicts};
 use bec_telemetry::Telemetry;
 
 struct Flags {
-    sample: Option<u64>,
-    seed: u64,
-    shards: u32,
-    workers: usize,
-    /// Per-fault execution engine. Never influences the report bytes —
-    /// the bitsliced engine is a wall-clock lever, exactly like the
-    /// checkpoint interval.
-    engine: Engine,
+    /// The campaign knobs. The engine and the checkpoint interval never
+    /// influence the report bytes — both are wall-clock levers. With no
+    /// `--max-cycles` the per-run budget is `100 × golden + 10k`, enough
+    /// for any trace-identical (masked) run while cutting
+    /// corrupted-counter loops off quickly.
+    spec: StudySpec,
     report_path: Option<String>,
     resume_path: Option<String>,
-    /// Per-run cycle budget; `None` picks `100 × golden + 10k`, enough for
-    /// any trace-identical (masked) run while cutting corrupted-counter
-    /// loops off quickly.
-    max_cycles: Option<u64>,
-    /// Checkpoint spacing in cycles; 0 disables the checkpointed engine,
-    /// `None` derives a default from the golden trace length. The report
-    /// bytes are identical for every setting — only wall-clock changes.
-    checkpoint_interval: Option<u64>,
 }
 
 fn parse_flags(args: &CommonArgs) -> Result<Flags, CliError> {
-    let mut flags = Flags {
-        sample: None,
-        seed: DEFAULT_SEED,
-        shards: DEFAULT_SHARDS,
-        workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        engine: Engine::default(),
-        report_path: None,
-        resume_path: None,
-        max_cycles: None,
-        checkpoint_interval: None,
-    };
+    let mut campaign = CampaignFlags::new(&CampaignFlag::ALL, StudySpec::default());
+    let (mut report_path, mut resume_path) = (None, None);
     let mut it = args.rest.iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().ok_or_else(|| CliError::usage(format!("{name} needs a value"))).cloned()
-        };
+        if campaign.parse(flag, &mut it)? {
+            continue;
+        }
         match flag.as_str() {
-            "--sample" => {
-                let v = value("--sample")?;
-                let n: u64 =
-                    v.parse().map_err(|_| CliError::usage(format!("bad sample size `{v}`")))?;
-                if n == 0 {
-                    // A 0-run campaign would vacuously report "OK" — reject
-                    // it so a typo'd CI invocation cannot disable the gate.
-                    return Err(CliError::usage("--sample must be at least 1"));
-                }
-                flags.sample = Some(n);
-            }
-            "--seed" => {
-                let v = value("--seed")?;
-                flags.seed = v.parse().map_err(|_| CliError::usage(format!("bad seed `{v}`")))?;
-            }
-            "--shards" => {
-                let v = value("--shards")?;
-                let n: u32 =
-                    v.parse().map_err(|_| CliError::usage(format!("bad shard count `{v}`")))?;
-                if n == 0 {
-                    return Err(CliError::usage("--shards must be at least 1"));
-                }
-                flags.shards = n;
-            }
-            "--workers" => {
-                let v = value("--workers")?;
-                let n: usize =
-                    v.parse().map_err(|_| CliError::usage(format!("bad worker count `{v}`")))?;
-                if n == 0 {
-                    return Err(CliError::usage("--workers must be at least 1"));
-                }
-                flags.workers = n;
-            }
-            "--engine" => {
-                let v = value("--engine")?;
-                flags.engine = Engine::parse(&v).ok_or_else(|| {
-                    CliError::usage(format!("unknown engine `{v}` (expected scalar or bitsliced)"))
-                })?;
-            }
-            "--report" => flags.report_path = Some(value("--report")?),
-            "--resume" => flags.resume_path = Some(value("--resume")?),
-            "--max-cycles" => {
-                let v = value("--max-cycles")?;
-                flags.max_cycles = Some(
-                    v.parse().map_err(|_| CliError::usage(format!("bad cycle budget `{v}`")))?,
-                );
-            }
-            "--checkpoint-interval" => {
-                let v = value("--checkpoint-interval")?;
-                flags.checkpoint_interval = Some(
-                    v.parse()
-                        .map_err(|_| CliError::usage(format!("bad checkpoint interval `{v}`")))?,
-                );
-            }
+            "--report" => report_path = Some(flag_value(flag, &mut it)?.to_owned()),
+            "--resume" => resume_path = Some(flag_value(flag, &mut it)?.to_owned()),
             other => return Err(CliError::usage(format!("unknown flag `{other}`"))),
         }
     }
-    Ok(flags)
-}
-
-fn load_resume(path: &str) -> Result<Option<CampaignReport>, CliError> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        // A missing resume file means a fresh campaign — so the same
-        // `--report out.json --resume out.json` invocation works first time.
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(CliError::failed(format!("cannot read `{path}`: {e}"))),
-    };
-    let doc = Json::parse(&text)
-        .map_err(|e| CliError::failed(format!("{path}: not a campaign report: {e}")))?;
-    let report = CampaignReport::from_json(&doc)
-        .map_err(|e| CliError::failed(format!("{path}: not a campaign report: {e}")))?;
-    Ok(Some(report))
+    Ok(Flags { spec: campaign.spec, report_path, resume_path })
 }
 
 /// The prepare phase with `--cache-dir` wired in: analysis verdicts and
@@ -172,27 +88,11 @@ fn prepare_cached(
 }
 
 pub fn run(args: &CommonArgs) -> Result<(), CliError> {
-    let flags = parse_flags(args)?;
+    let Flags { spec, report_path, resume_path } = parse_flags(args)?;
     let program = input::load_program(&args.file)?;
-    let resume = match &flags.resume_path {
-        Some(path) => load_resume(path)?,
-        None => None,
-    };
+    let resume = load_resume(resume_path.as_deref(), "campaign", CampaignReport::from_json)?;
     // The shared campaign driver (`bec_sim::study`): golden probe, derived
-    // injection budget, checkpointed engine, sharded pool. The checkpoint
-    // interval never changes the report bytes — it is a wall-clock lever.
-    let spec = StudySpec {
-        seed: flags.seed,
-        sample: flags.sample,
-        shards: flags.shards,
-        workers: flags.workers,
-        max_cycles: flags.max_cycles,
-        checkpoint_interval: flags.checkpoint_interval,
-        engine: flags.engine,
-        // Single-program campaigns have no variants to share a golden
-        // substrate across; the flag only matters to `bec study`.
-        golden_reuse: true,
-    };
+    // injection budget, checkpointed engine, sharded pool.
     let tel = Telemetry::enabled();
     let store = match &args.cache_dir {
         Some(dir) => Some(ArtifactStore::open(dir).map_err(CliError::failed)?),
@@ -212,10 +112,7 @@ pub fn run(args: &CommonArgs) -> Result<(), CliError> {
         run_prepared(&args.file, &program, prep, &spec, resume, &tel).map_err(CliError::failed)?;
     let (campaign, stats, interval) = (run.report, run.stats, run.interval);
 
-    if let Some(path) = &flags.report_path {
-        std::fs::write(path, campaign.to_json().render() + "\n")
-            .map_err(|e| CliError::failed(format!("cannot write `{path}`: {e}")))?;
-    }
+    write_report(report_path.as_deref(), &campaign.to_json())?;
 
     // Timing is real but nondeterministic — it goes to stderr so stdout
     // stays byte-reproducible for a fixed spec.
@@ -226,17 +123,17 @@ pub fn run(args: &CommonArgs) -> Result<(), CliError> {
     if args.json {
         println!(
             "{}",
-            with_engine_metadata(campaign.to_json(), flags.engine, interval, stats.early_exits)
+            with_engine_metadata(campaign.to_json(), spec.engine, interval, stats.early_exits)
                 .render()
         );
     } else {
         let fault_space = campaign.fault_space;
-        let adaptive = flags.checkpoint_interval.is_none();
+        let adaptive = spec.checkpoint_interval.is_none();
         print_text(
             args,
             &campaign,
             fault_space,
-            flags.engine,
+            spec.engine,
             interval,
             adaptive,
             stats.early_exits,

@@ -3,7 +3,7 @@
 //! piping). Every emission is verified by lifting the image back and
 //! re-encoding it — the round-trip must reproduce identical words.
 
-use super::{input, CliError, CommonArgs};
+use super::{flag_value, input, CliError, CommonArgs};
 use bec_rv32::{decode_word, encode_program_at, lift_image};
 use bec_sim::json::Json;
 
@@ -14,7 +14,7 @@ pub fn run(args: &CommonArgs) -> Result<(), CliError> {
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--base" => {
-                let v = it.next().ok_or_else(|| CliError::usage("--base needs a value"))?;
+                let v = flag_value(flag, &mut it)?;
                 base = match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
                     Some(hex) => u32::from_str_radix(hex, 16),
                     None => v.parse(),

@@ -17,11 +17,12 @@
 //! findings to demonstrate the violation → minimizer → reproducer
 //! pipeline.
 
-use super::{rule_options, CliError};
+use super::{flag_value, rule_options, CampaignFlag, CampaignFlags, CliError};
 use bec_core::report::group_digits as g;
 use bec_fuzzgen::GenConfig;
 use bec_sim::json::Json;
-use bec_sim::{run_fuzz, Engine, FaultClass, FuzzReport, FuzzSpec, Oracle};
+use bec_sim::study::StudySpec;
+use bec_sim::{run_fuzz, FaultClass, FuzzReport, FuzzSpec, Oracle};
 use std::path::PathBuf;
 
 struct Flags {
@@ -32,81 +33,64 @@ struct Flags {
     json: bool,
 }
 
+/// The campaign flags `fuzz` accepts. Every per-program campaign derives
+/// its cycle budget from its generated program's golden run and uses the
+/// adaptive checkpoint policy, so `--max-cycles` and
+/// `--checkpoint-interval` are rejected.
+const CAMPAIGN_FLAGS: &[CampaignFlag] = &[
+    CampaignFlag::Sample,
+    CampaignFlag::Seed,
+    CampaignFlag::Shards,
+    CampaignFlag::Workers,
+    CampaignFlag::Engine,
+];
+
 fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
     let mut spec = FuzzSpec::default();
+    let mut campaign = CampaignFlags::new(
+        CAMPAIGN_FLAGS,
+        StudySpec {
+            seed: spec.seed,
+            sample: spec.sample,
+            shards: spec.shards,
+            engine: spec.engine,
+            ..StudySpec::default()
+        },
+    );
     let mut rules_name = String::from("paper");
     let mut profile_name = String::from("full");
     let mut corpus_dir = None;
     let mut json = false;
-    let mut workers: Option<usize> = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().ok_or_else(|| CliError::usage(format!("{name} needs a value"))).cloned()
-        };
+        if campaign.parse(flag, &mut it)? {
+            continue;
+        }
+        let mut value = || flag_value(flag, &mut it);
         match flag.as_str() {
             "--json" => json = true,
             "--rules" => {
-                let v = value("--rules")?;
-                rule_options(&v)?;
-                rules_name = v;
-            }
-            "--seed" => {
-                let v = value("--seed")?;
-                spec.seed = v.parse().map_err(|_| CliError::usage(format!("bad seed `{v}`")))?;
+                let v = value()?;
+                rule_options(v)?;
+                rules_name = v.to_owned();
             }
             "--budget" => {
-                let v = value("--budget")?;
+                let v = value()?;
                 let n: u64 = v.parse().map_err(|_| CliError::usage(format!("bad budget `{v}`")))?;
                 if n == 0 {
                     return Err(CliError::usage("--budget must be at least 1"));
                 }
                 spec.budget = n;
             }
-            "--sample" => {
-                let v = value("--sample")?;
-                let n: u64 =
-                    v.parse().map_err(|_| CliError::usage(format!("bad sample size `{v}`")))?;
-                if n == 0 {
-                    return Err(CliError::usage("--sample must be at least 1"));
-                }
-                spec.sample = Some(n);
-            }
-            "--exhaustive" => spec.sample = None,
-            "--shards" => {
-                let v = value("--shards")?;
-                let n: u32 =
-                    v.parse().map_err(|_| CliError::usage(format!("bad shard count `{v}`")))?;
-                if n == 0 {
-                    return Err(CliError::usage("--shards must be at least 1"));
-                }
-                spec.shards = n;
-            }
-            "--workers" => {
-                let v = value("--workers")?;
-                let n: usize =
-                    v.parse().map_err(|_| CliError::usage(format!("bad worker count `{v}`")))?;
-                if n == 0 {
-                    return Err(CliError::usage("--workers must be at least 1"));
-                }
-                workers = Some(n);
-            }
-            // Wall-clock lever only: findings and stdout bytes are pinned
-            // identical under both engines.
-            "--engine" => {
-                let v = value("--engine")?;
-                spec.engine = Engine::parse(&v).ok_or_else(|| {
-                    CliError::usage(format!("unknown engine `{v}` (expected scalar or bitsliced)"))
-                })?;
-            }
+            "--exhaustive" => campaign.spec.sample = None,
             "--class-checks" => {
-                let v = value("--class-checks")?;
+                let v = value()?;
                 spec.class_checks =
                     v.parse().map_err(|_| CliError::usage(format!("bad probe count `{v}`")))?;
             }
             "--profile" => {
-                let v = value("--profile")?;
-                spec.profile = match v.as_str() {
+                let v = value()?;
+                spec.profile = match v {
                     "tiny" => GenConfig::tiny(),
                     "full" => GenConfig::full(),
                     other => {
@@ -115,18 +99,16 @@ fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
                         )))
                     }
                 };
-                profile_name = v;
+                profile_name = v.to_owned();
             }
-            "--corpus-dir" => corpus_dir = Some(PathBuf::from(value("--corpus-dir")?)),
+            "--corpus-dir" => corpus_dir = Some(PathBuf::from(value()?)),
             "--minimize" => spec.minimize = true,
             "--demo-unsound" => spec.oracle = Oracle::AssumeAllMasked,
             other => return Err(CliError::usage(format!("unknown flag `{other}`"))),
         }
     }
-    // Worker count never reaches stdout, so defaulting to all cores is
-    // determinism-free parallelism; an explicit value is honored.
-    spec.workers = workers
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
+    let StudySpec { seed, sample, shards, workers, engine, .. } = campaign.spec;
+    let spec = FuzzSpec { seed, sample, shards, workers, engine, ..spec };
     Ok(Flags { spec, rules_name, profile_name, corpus_dir, json })
 }
 

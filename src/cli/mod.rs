@@ -11,6 +11,9 @@ mod sim;
 mod study;
 
 use bec_core::BecOptions;
+use bec_sim::json::Json;
+use bec_sim::study::StudySpec;
+use bec_sim::Engine;
 use bec_telemetry::Telemetry;
 
 /// CLI failure modes: usage errors print the help text, operational
@@ -91,6 +94,165 @@ pub(crate) fn write_exports(
     Ok(())
 }
 
+/// The campaign flags. `campaign` and `study` take all seven, `fuzz` the
+/// first five, `sim` the last two; `analyze` reads `--workers` its own way
+/// (0 = one per core). This enum is the one place the flag names are
+/// matched and their values parsed and validated.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum CampaignFlag {
+    Sample,
+    Seed,
+    Shards,
+    Workers,
+    Engine,
+    MaxCycles,
+    CheckpointInterval,
+}
+
+impl CampaignFlag {
+    /// Every campaign flag.
+    pub(crate) const ALL: [CampaignFlag; 7] = [
+        CampaignFlag::Sample,
+        CampaignFlag::Seed,
+        CampaignFlag::Shards,
+        CampaignFlag::Workers,
+        CampaignFlag::Engine,
+        CampaignFlag::MaxCycles,
+        CampaignFlag::CheckpointInterval,
+    ];
+
+    fn name(self) -> &'static str {
+        match self {
+            CampaignFlag::Sample => "--sample",
+            CampaignFlag::Seed => "--seed",
+            CampaignFlag::Shards => "--shards",
+            CampaignFlag::Workers => "--workers",
+            CampaignFlag::Engine => "--engine",
+            CampaignFlag::MaxCycles => "--max-cycles",
+            CampaignFlag::CheckpointInterval => "--checkpoint-interval",
+        }
+    }
+
+    /// The campaign flag spelled `flag`, if it is one.
+    pub(crate) fn named(flag: &str) -> Option<CampaignFlag> {
+        CampaignFlag::ALL.into_iter().find(|f| f.name() == flag)
+    }
+
+    /// Parses and validates this flag's value `v` into `spec`.
+    fn apply(self, v: &str, spec: &mut StudySpec) -> Result<(), CliError> {
+        let bad = |what: &str| CliError::usage(format!("bad {what} `{v}`"));
+        // A 0-run campaign would vacuously report "OK", and 0 shards or
+        // workers would run nothing — reject them so a typo'd CI
+        // invocation cannot disable the gate.
+        let at_least_one = |n: u64| match n {
+            0 => Err(CliError::usage(format!("{} must be at least 1", self.name()))),
+            n => Ok(n),
+        };
+        match self {
+            CampaignFlag::Sample => {
+                let n = v.parse().map_err(|_| bad("sample size"))?;
+                spec.sample = Some(at_least_one(n)?);
+            }
+            CampaignFlag::Seed => spec.seed = v.parse().map_err(|_| bad("seed"))?,
+            CampaignFlag::Shards => {
+                let n: u32 = v.parse().map_err(|_| bad("shard count"))?;
+                at_least_one(n.into())?;
+                spec.shards = n;
+            }
+            CampaignFlag::Workers => {
+                let n: usize = v.parse().map_err(|_| bad("worker count"))?;
+                at_least_one(n as u64)?;
+                spec.workers = n;
+            }
+            // Wall-clock lever only: the engine never reaches stdout or a
+            // report.
+            CampaignFlag::Engine => {
+                spec.engine = Engine::parse(v).ok_or_else(|| {
+                    CliError::usage(format!("unknown engine `{v}` (expected scalar or bitsliced)"))
+                })?;
+            }
+            CampaignFlag::MaxCycles => {
+                spec.max_cycles = Some(v.parse().map_err(|_| bad("cycle budget"))?);
+            }
+            CampaignFlag::CheckpointInterval => {
+                spec.checkpoint_interval = Some(v.parse().map_err(|_| bad("checkpoint interval"))?);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The campaign flags one command accepts, parsed into a [`StudySpec`].
+pub(crate) struct CampaignFlags {
+    accepted: &'static [CampaignFlag],
+    /// The spec the accepted flags write into.
+    pub spec: StudySpec,
+}
+
+impl CampaignFlags {
+    /// Starts from `defaults`. A command that accepts `--workers` runs on
+    /// all cores unless it is given: the worker count never reaches stdout
+    /// or a report, so the parallelism is free determinism-wise. An
+    /// explicit value (including 1) is honored.
+    pub(crate) fn new(accepted: &'static [CampaignFlag], mut defaults: StudySpec) -> CampaignFlags {
+        if accepted.contains(&CampaignFlag::Workers) {
+            defaults.workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        }
+        CampaignFlags { accepted, spec: defaults }
+    }
+
+    /// Consumes `flag` and its value from `it` when `flag` is an accepted
+    /// campaign flag; `Ok(false)` leaves any other flag to the caller.
+    pub(crate) fn parse<'a>(
+        &mut self,
+        flag: &str,
+        it: &mut impl Iterator<Item = &'a String>,
+    ) -> Result<bool, CliError> {
+        match CampaignFlag::named(flag).filter(|f| self.accepted.contains(f)) {
+            Some(f) => f.apply(flag_value(flag, it)?, &mut self.spec).map(|()| true),
+            None => Ok(false),
+        }
+    }
+}
+
+/// The value following `flag` in `it`.
+pub(crate) fn flag_value<'a>(
+    flag: &str,
+    it: &mut impl Iterator<Item = &'a String>,
+) -> Result<&'a str, CliError> {
+    it.next().map(String::as_str).ok_or_else(|| CliError::usage(format!("{flag} needs a value")))
+}
+
+/// Reads the `--resume` report at `path` (if any) with `decode`; `kind`
+/// names the report in errors. A missing file means a fresh run, so the
+/// same `--report out.json --resume out.json` invocation works the first
+/// time too.
+pub(crate) fn load_resume<T>(
+    path: Option<&str>,
+    kind: &str,
+    decode: fn(&Json) -> Result<T, String>,
+) -> Result<Option<T>, CliError> {
+    let Some(path) = path else { return Ok(None) };
+    let text = match std::fs::read_to_string(path) {
+        Ok(t) => t,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(CliError::failed(format!("cannot read `{path}`: {e}"))),
+    };
+    let not_a_report = |e: String| CliError::failed(format!("{path}: not a {kind} report: {e}"));
+    let doc = Json::parse(&text).map_err(not_a_report)?;
+    decode(&doc).map(Some).map_err(not_a_report)
+}
+
+/// Writes a `--report` file (if requested): the rendered JSON plus a
+/// trailing newline.
+pub(crate) fn write_report(path: Option<&str>, doc: &Json) -> Result<(), CliError> {
+    match path {
+        Some(path) => std::fs::write(path, doc.render() + "\n")
+            .map_err(|e| CliError::failed(format!("cannot write `{path}`: {e}"))),
+        None => Ok(()),
+    }
+}
+
 fn parse_common(args: &[String]) -> Result<CommonArgs, CliError> {
     let mut file = None;
     let mut json = false;
@@ -124,21 +286,12 @@ fn parse_common(args: &[String]) -> Result<CommonArgs, CliError> {
             flag if flag.starts_with("--") => {
                 rest.push(a.clone());
                 // Flags with values keep them adjacent for the subcommand.
-                if matches!(
-                    flag,
-                    "--criterion"
-                        | "--fault"
-                        | "--max-cycles"
-                        | "--base"
-                        | "--sample"
-                        | "--seed"
-                        | "--shards"
-                        | "--workers"
-                        | "--report"
-                        | "--resume"
-                        | "--checkpoint-interval"
-                        | "--engine"
-                ) {
+                if CampaignFlag::named(flag).is_some()
+                    || matches!(
+                        flag,
+                        "--criterion" | "--fault" | "--base" | "--report" | "--resume"
+                    )
+                {
                     if let Some(v) = it.next() {
                         rest.push(v.clone());
                     }

@@ -8,6 +8,9 @@ use bec_sim::json::Json;
 use bec_sim::{SimLimits, Simulator};
 
 pub fn run(args: &CommonArgs) -> Result<(), CliError> {
+    if let Some(flag) = args.rest.first() {
+        return Err(CliError::usage(format!("unknown flag `{flag}`")));
+    }
     let program = input::load_program(&args.file)?;
     let bec = BecAnalysis::analyze(&program, &args.options);
     let sim = Simulator::with_limits(&program, SimLimits { max_cycles: 100_000_000 });

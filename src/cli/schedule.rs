@@ -8,7 +8,7 @@
 //! name and the per-point schedule permutation, so a study result can be
 //! reproduced from the CLI output alone.
 
-use super::{input, CliError, CommonArgs};
+use super::{flag_value, input, CliError, CommonArgs};
 use bec_core::{report, surface, BecAnalysis};
 use bec_ir::Program;
 use bec_sched::{Criterion, ScheduledVariant, Scheduler};
@@ -54,7 +54,7 @@ pub fn run(args: &CommonArgs) -> Result<(), CliError> {
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--criterion" => {
-                let v = it.next().ok_or_else(|| CliError::usage("--criterion needs a value"))?;
+                let v = flag_value(flag, &mut it)?;
                 criterion = Criterion::parse(v)
                     .ok_or_else(|| CliError::usage(format!("unknown criterion `{v}`")))?;
             }

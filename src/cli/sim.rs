@@ -5,8 +5,9 @@
 //! golden checkpoint before the injection cycle and early-exits once its
 //! state provably re-converges with the golden run.
 
-use super::{input, CliError, CommonArgs};
+use super::{flag_value, input, CampaignFlag, CampaignFlags, CliError, CommonArgs};
 use bec_sim::json::Json;
+use bec_sim::study::StudySpec;
 use bec_sim::{FaultSpec, SimLimits, Simulator};
 use bec_telemetry::Telemetry;
 
@@ -26,31 +27,20 @@ fn parse_fault(spec: &str) -> Result<FaultSpec, CliError> {
 
 pub fn run(args: &CommonArgs) -> Result<(), CliError> {
     let mut fault = None;
-    let mut max_cycles = 100_000_000u64;
-    let mut interval = 0u64;
+    let accepted = &[CampaignFlag::MaxCycles, CampaignFlag::CheckpointInterval];
+    let mut limits = CampaignFlags::new(accepted, StudySpec::default());
     let mut it = args.rest.iter();
     while let Some(flag) = it.next() {
+        if limits.parse(flag, &mut it)? {
+            continue;
+        }
         match flag.as_str() {
-            "--fault" => {
-                let v = it.next().ok_or_else(|| CliError::usage("--fault needs a value"))?;
-                fault = Some(parse_fault(v)?);
-            }
-            "--max-cycles" => {
-                let v = it.next().ok_or_else(|| CliError::usage("--max-cycles needs a value"))?;
-                max_cycles =
-                    v.parse().map_err(|_| CliError::usage(format!("bad cycle budget `{v}`")))?;
-            }
-            "--checkpoint-interval" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::usage("--checkpoint-interval needs a value"))?;
-                interval = v
-                    .parse()
-                    .map_err(|_| CliError::usage(format!("bad checkpoint interval `{v}`")))?;
-            }
+            "--fault" => fault = Some(parse_fault(flag_value(flag, &mut it)?)?),
             other => return Err(CliError::usage(format!("unknown flag `{other}`"))),
         }
     }
+    let max_cycles = limits.spec.max_cycles.unwrap_or(100_000_000);
+    let interval = limits.spec.checkpoint_interval.unwrap_or(0);
     if interval > 0 && fault.is_none() {
         return Err(CliError::usage("--checkpoint-interval only applies to --fault runs"));
     }

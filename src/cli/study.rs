@@ -17,12 +17,15 @@
 //! masked fault observed corrupting a variant) or a coverage regression
 //! (a reliability-improving schedule grew the live fault surface).
 
-use super::{rule_options, write_exports, CliError};
+use super::{
+    flag_value, load_resume, rule_options, write_exports, write_report, CampaignFlag,
+    CampaignFlags, CliError,
+};
 use bec::study::{run_study, StudyConfig};
 use bec_core::report;
 use bec_sim::json::Json;
 use bec_sim::study::{StudyReport, StudySpec, VariantRecord};
-use bec_sim::{CrossTable, Engine, FaultClass};
+use bec_sim::{CrossTable, FaultClass};
 use bec_telemetry::{Phase, Telemetry};
 use std::collections::BTreeMap;
 
@@ -42,122 +45,45 @@ struct Flags {
 
 fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
     let mut cfg = StudyConfig::suite(StudySpec::default());
+    let mut campaign = CampaignFlags::new(&CampaignFlag::ALL, cfg.spec);
     let mut json = false;
     let mut report_path = None;
     let mut resume_path = None;
     let mut trace_out = None;
     let mut metrics_out = None;
-    let mut workers: Option<usize> = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().ok_or_else(|| CliError::usage(format!("{name} needs a value"))).cloned()
-        };
+        if campaign.parse(flag, &mut it)? {
+            continue;
+        }
+        let mut value = || flag_value(flag, &mut it).map(str::to_owned);
         match flag.as_str() {
             "--json" => json = true,
             "--rules" => {
-                let v = value("--rules")?;
+                let v = value()?;
                 cfg.options = rule_options(&v)?;
                 cfg.rules = v;
             }
-            "--bench" => {
-                let v = value("--bench")?;
-                cfg.benchmarks.extend(v.split(',').map(str::to_owned));
-            }
-            "--sample" => {
-                let v = value("--sample")?;
-                let n: u64 =
-                    v.parse().map_err(|_| CliError::usage(format!("bad sample size `{v}`")))?;
-                if n == 0 {
-                    return Err(CliError::usage("--sample must be at least 1"));
-                }
-                cfg.spec.sample = Some(n);
-            }
-            "--seed" => {
-                let v = value("--seed")?;
-                cfg.spec.seed =
-                    v.parse().map_err(|_| CliError::usage(format!("bad seed `{v}`")))?;
-            }
-            "--shards" => {
-                let v = value("--shards")?;
-                let n: u32 =
-                    v.parse().map_err(|_| CliError::usage(format!("bad shard count `{v}`")))?;
-                if n == 0 {
-                    return Err(CliError::usage("--shards must be at least 1"));
-                }
-                cfg.spec.shards = n;
-            }
-            "--workers" => {
-                let v = value("--workers")?;
-                let n: usize =
-                    v.parse().map_err(|_| CliError::usage(format!("bad worker count `{v}`")))?;
-                if n == 0 {
-                    return Err(CliError::usage("--workers must be at least 1"));
-                }
-                workers = Some(n);
-            }
-            "--max-cycles" => {
-                let v = value("--max-cycles")?;
-                cfg.spec.max_cycles = Some(
-                    v.parse().map_err(|_| CliError::usage(format!("bad cycle budget `{v}`")))?,
-                );
-            }
-            "--checkpoint-interval" => {
-                let v = value("--checkpoint-interval")?;
-                cfg.spec.checkpoint_interval = Some(
-                    v.parse()
-                        .map_err(|_| CliError::usage(format!("bad checkpoint interval `{v}`")))?,
-                );
-            }
+            "--bench" => cfg.benchmarks.extend(value()?.split(',').map(str::to_owned)),
             // Opt-out of the shared golden substrate: every variant runs
             // its own golden probe. Wall-clock lever only — report bytes
             // are pinned identical with reuse on or off.
-            "--no-golden-reuse" => cfg.spec.golden_reuse = false,
-            // Wall-clock lever only: the engine never reaches stdout, so
-            // scalar and bitsliced studies print byte-identical reports.
-            "--engine" => {
-                let v = value("--engine")?;
-                cfg.spec.engine = Engine::parse(&v).ok_or_else(|| {
-                    CliError::usage(format!("unknown engine `{v}` (expected scalar or bitsliced)"))
-                })?;
-            }
-            "--cache-dir" => cfg.cache_dir = Some(value("--cache-dir")?),
-            "--report" => report_path = Some(value("--report")?),
-            "--resume" => resume_path = Some(value("--resume")?),
-            "--trace-out" => trace_out = Some(value("--trace-out")?),
-            "--metrics-out" => metrics_out = Some(value("--metrics-out")?),
+            "--no-golden-reuse" => campaign.spec.golden_reuse = false,
+            "--cache-dir" => cfg.cache_dir = Some(value()?),
+            "--report" => report_path = Some(value()?),
+            "--resume" => resume_path = Some(value()?),
+            "--trace-out" => trace_out = Some(value()?),
+            "--metrics-out" => metrics_out = Some(value()?),
             other => return Err(CliError::usage(format!("unknown flag `{other}`"))),
         }
     }
-    // Without an explicit --workers the study uses all cores: the report
-    // bytes are worker-independent, so parallelism is free
-    // determinism-wise. An explicit value (including 1) is honored.
-    cfg.spec.workers = workers
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
+    cfg.spec = campaign.spec;
     Ok(Flags { cfg, json, report_path, resume_path, trace_out, metrics_out })
-}
-
-fn load_resume(path: &str) -> Result<Option<StudyReport>, CliError> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        // Missing resume file = fresh study, so `--report out.json
-        // --resume out.json` works on the first run too.
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(CliError::failed(format!("cannot read `{path}`: {e}"))),
-    };
-    let doc = Json::parse(&text)
-        .map_err(|e| CliError::failed(format!("{path}: not a study report: {e}")))?;
-    let report = StudyReport::from_json(&doc)
-        .map_err(|e| CliError::failed(format!("{path}: not a study report: {e}")))?;
-    Ok(Some(report))
 }
 
 pub fn run(args: &[String]) -> Result<(), CliError> {
     let flags = parse_flags(args)?;
-    let resume = match &flags.resume_path {
-        Some(path) => load_resume(path)?,
-        None => None,
-    };
+    let resume = load_resume(flags.resume_path.as_deref(), "study", StudyReport::from_json)?;
     // Typed progress events render to stderr (they carry wall times);
     // stdout stays byte-reproducible. The campaign events also carry the
     // per-variant early-exit counts the JSON summary includes.
@@ -173,10 +99,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     })
     .map_err(CliError::failed)?;
 
-    if let Some(path) = &flags.report_path {
-        std::fs::write(path, report.to_json().render() + "\n")
-            .map_err(|e| CliError::failed(format!("cannot write `{path}`: {e}")))?;
-    }
+    write_report(flags.report_path.as_deref(), &report.to_json())?;
     write_exports(&tel, flags.trace_out.as_deref(), flags.metrics_out.as_deref())?;
 
     let violations = report.violations();

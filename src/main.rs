@@ -12,6 +12,8 @@
 //! bec campaign file.s              sharded differential fault campaign
 //! bec study                        scheduled-variant reliability study
 //!                                  over the built-in benchmark suite
+//! bec fuzz                         differential fuzzing over generated
+//!                                  programs
 //! bec encode   file.s              RV32I machine-code emission
 //! ```
 //!
@@ -58,8 +60,14 @@ COMMON OPTIONS:
     --cache-dir <DIR>          content-addressed artifact cache: warm runs of
                                analyze/campaign/study skip the analysis and
                                golden phases; results are byte-identical
+    --trace-out <PATH>         write a Chrome-trace JSON of the run's spans
+    --metrics-out <PATH>       write the run's metric snapshot as JSON
+                               (neither export changes stdout or reports;
+                               `fuzz` takes neither, nor --cache-dir)
 
 COMMAND OPTIONS:
+    analyze:  --workers <N>                       analysis threads (0 = one
+                                                  per core; default 1)
     schedule: --criterion <best|worst|original>   (default: best)
               --emit-asm                          print the scheduled program
     sim:      --fault <cycle>:<reg>:<bit>         single-event upset to inject
@@ -74,9 +82,12 @@ COMMAND OPTIONS:
               --report <PATH>                     write the JSON report
               --resume <PATH>                     resume an interrupted report
               --max-cycles <N>                    per-run execution budget
+                                                  (default: 100 × golden
+                                                  cycles + 10k)
               --checkpoint-interval <N>           checkpoint spacing in cycles
                                                   (0 = from-scratch engine;
-                                                  default: trace length / 64)
+                                                  default: adaptive, aligned
+                                                  to block boundaries)
               --engine <scalar|bitsliced>         per-fault execution engine
                                                   (default: bitsliced; never
                                                   changes the report bytes)
@@ -87,6 +98,10 @@ COMMAND OPTIONS:
               --max-cycles/--checkpoint-interval/
               --engine                            as for campaign, applied to
                                                   every variant campaign
+              --no-golden-reuse                   record every variant's
+                                                  golden run instead of
+                                                  deriving it from the
+                                                  baseline's (same bytes)
     fuzz:     --seed <S>                          master seed (default 3052)
               --budget <N>                        programs to generate
                                                   (default 16)

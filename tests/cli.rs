@@ -163,17 +163,160 @@ fn sim_rejects_out_of_file_fault_registers() {
 
 #[test]
 fn campaign_rejects_vacuous_and_malformed_flags() {
-    // A 0-fault sample would make the soundness gate vacuously pass.
-    let out = bec(&["campaign", "examples/gcd.s", "--sample", "0"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--sample"), "sample 0 rejected");
-    let out = bec(&["campaign", "examples/gcd.s", "--shards", "0"]);
-    assert_eq!(out.status.code(), Some(2));
-    let out = bec(&["campaign", "examples/gcd.s", "--workers", "0"]);
-    assert_eq!(out.status.code(), Some(2));
+    // `campaign`, `study` and `fuzz` share one campaign flag parser: each
+    // rejects the same vacuous or malformed values with the same message.
+    let cases: [(&[&str], &str); 6] = [
+        // A 0-fault sample would make the soundness gate vacuously pass.
+        (&["--sample", "0"], "--sample must be at least 1"),
+        (&["--shards", "0"], "--shards must be at least 1"),
+        (&["--workers", "0"], "--workers must be at least 1"),
+        (&["--engine", "bogus"], "unknown engine `bogus` (expected scalar or bitsliced)"),
+        (&["--seed", "x"], "bad seed `x`"),
+        (&["--shards"], "--shards needs a value"),
+    ];
+    for cmd in [&["campaign", "examples/gcd.s"][..], &["study"], &["fuzz"]] {
+        for (flags, message) in cases {
+            let args = [cmd, flags].concat();
+            let out = bec(&args);
+            assert_eq!(out.status.code(), Some(2), "{args:?}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.starts_with(&format!("error: {message}\n")), "{args:?}: {err}");
+        }
+    }
+    // `fuzz` derives every campaign's budget and checkpoints itself.
+    for flag in ["--max-cycles", "--checkpoint-interval"] {
+        let out = bec(&["fuzz", flag, "5"]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag `{flag}`")), "{flag}: {err}");
+    }
     // Campaigns run in-process only; the old process fan-out flag is gone.
     let out = bec(&["campaign", "examples/gcd.s", "--spawn", "2"]);
     assert_eq!(out.status.code(), Some(2));
+}
+
+/// A flag, with a valid value when it takes one.
+type Flag = (&'static str, Option<&'static str>);
+
+/// Every flag each command accepts. The file-taking commands also accept
+/// the common options.
+const ACCEPTED_FLAGS: [(&str, &[Flag]); 8] = [
+    ("analyze", &[("--workers", Some("2"))]),
+    ("prune", &[]),
+    ("schedule", &[("--criterion", Some("worst")), ("--emit-asm", None)]),
+    (
+        "sim",
+        &[
+            ("--fault", Some("2:a0:0")),
+            ("--max-cycles", Some("500")),
+            ("--checkpoint-interval", Some("4")),
+        ],
+    ),
+    (
+        "campaign",
+        &[
+            ("--sample", Some("5")),
+            ("--seed", Some("1")),
+            ("--shards", Some("2")),
+            ("--workers", Some("1")),
+            ("--report", Some("r.json")),
+            ("--resume", Some("r.json")),
+            ("--max-cycles", Some("500")),
+            ("--checkpoint-interval", Some("4")),
+            ("--engine", Some("scalar")),
+        ],
+    ),
+    (
+        "study",
+        &[
+            ("--bench", Some("crc32")),
+            ("--sample", Some("5")),
+            ("--seed", Some("1")),
+            ("--shards", Some("2")),
+            ("--workers", Some("1")),
+            ("--report", Some("r.json")),
+            ("--resume", Some("r.json")),
+            ("--max-cycles", Some("500")),
+            ("--checkpoint-interval", Some("4")),
+            ("--engine", Some("scalar")),
+            ("--no-golden-reuse", None),
+            ("--json", None),
+            ("--rules", Some("extended")),
+            ("--cache-dir", Some("cache")),
+            ("--trace-out", Some("t.json")),
+            ("--metrics-out", Some("m.json")),
+        ],
+    ),
+    (
+        "fuzz",
+        &[
+            ("--seed", Some("1")),
+            ("--budget", Some("2")),
+            ("--profile", Some("tiny")),
+            ("--sample", Some("5")),
+            ("--exhaustive", None),
+            ("--shards", Some("2")),
+            ("--workers", Some("1")),
+            ("--engine", Some("scalar")),
+            ("--class-checks", Some("2")),
+            ("--corpus-dir", Some("corpus")),
+            ("--minimize", None),
+            ("--demo-unsound", None),
+            ("--json", None),
+            ("--rules", Some("extended")),
+        ],
+    ),
+    ("encode", &[("--base", Some("0x100")), ("--raw", None)]),
+];
+
+const COMMON_FLAGS: [Flag; 5] = [
+    ("--json", None),
+    ("--rules", Some("extended")),
+    ("--cache-dir", Some("cache")),
+    ("--trace-out", Some("t.json")),
+    ("--metrics-out", Some("m.json")),
+];
+
+/// The `--flag` words of a usage text.
+fn listed_flags(text: &str) -> Vec<&str> {
+    let is_word = |c: char| c.is_ascii_lowercase() || c == '-';
+    text.match_indices("--")
+        .filter(|&(i, _)| i == 0 || !is_word(text[..i].chars().next_back().unwrap()))
+        .map(|(i, _)| {
+            let end = text[i + 2..].find(|c: char| !is_word(c)).map_or(text.len(), |e| i + 2 + e);
+            &text[i..end]
+        })
+        .collect()
+}
+
+#[test]
+fn every_accepted_flag_is_listed_in_command_help() {
+    for (cmd, own) in ACCEPTED_FLAGS {
+        let takes_file = !matches!(cmd, "study" | "fuzz");
+        let mut flags = own.to_vec();
+        if takes_file {
+            flags.extend(COMMON_FLAGS);
+        }
+        let help = stdout_of(&[cmd, "--help"]);
+        let listed = listed_flags(&help);
+        for (flag, value) in flags {
+            assert!(listed.contains(&flag), "`bec {cmd} --help` does not list {flag}:\n{help}");
+            // The flag really is accepted: parsing gets past it (and its
+            // value) to the unknown flag behind it. Flags are parsed before
+            // any work starts, so nothing runs.
+            let mut args = vec![cmd];
+            if takes_file {
+                args.push("examples/gcd.s");
+            }
+            args.push(flag);
+            args.extend(value);
+            args.push("--zzz");
+            let out = bec(&args);
+            assert_eq!(out.status.code(), Some(2), "{args:?}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains("flag `--zzz`"), "{args:?}: {err}");
+        }
+    }
 }
 
 #[test]
